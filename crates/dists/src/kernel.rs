@@ -20,22 +20,36 @@
 //!
 //! * hoisting pure recomputed subexpressions (`1/β` feeds the same
 //!   `powf` it always did — division is deterministic, so the hoisted
-//!   value is the bit pattern the `dyn` path computed inline), and
+//!   value is the bit pattern the `dyn` path computed inline),
 //! * inlining the exact float-op sequence of the concrete overrides
 //!   (including each family's choice of `ln_1p` vs `ln`, and the
 //!   trait-default conditional inversion where a family does not
-//!   override it).
+//!   override it) — for the Weibull family both paths call the same
+//!   `#[inline]` helpers, so they agree by construction, and
+//! * the **unit-shape identity**: `powf(x, 1.0)` is replaced by `x`
+//!   (β = 1, the paper's latent-defect shape). This is exact, not a
+//!   rewrite: `x¹ = x` is representable, and `pow` (glibc: error
+//!   ≤ 0.52 ULP) can therefore only return `x` itself, because every
+//!   other double lies a full ULP away. Both paths take the identity,
+//!   and a unit test pins the libm property over edge values and 10⁶
+//!   seeded uniforms.
 //!
 //! Algebraic rewrites that change the op sequence — e.g. `sqrt` in
 //! place of `powf(0.5)` for β = 2 — are **excluded**: they are faster
 //! but not bit-equal. The `kernel_equivalence` property suite enforces
 //! the contract for every variant over random parameters and seeds.
 //!
+//! The draw methods take the concrete [`SimRng`] rather than
+//! `&mut dyn Rng`, so the word draw inlines into the kernel; the
+//! composite and boxed arms hand it to their source objects as
+//! `&mut dyn Rng`. Uniforms on both paths come from one conversion
+//! (`rng_f64`), so the RNG type cannot change a draw.
+//!
 //! # Lowering table
 //!
 //! | `dyn` implementation | kernel variant | notes |
 //! |---|---|---|
-//! | [`crate::Weibull3`] | [`SampleKernel::Weibull3`] | `1/β` precomputed; conditional inlines the trait default over the Weibull `sf`/`cdf`/`quantile` overrides |
+//! | [`crate::Weibull3`] | [`SampleKernel::Weibull3`] | `1/β` precomputed; `sf`/`cdf`/`quantile` are the helpers the overrides call; conditional inlines the trait default over them |
 //! | [`crate::Exponential`] | [`SampleKernel::Exponential`] | conditional is memoryless, matching the override |
 //! | [`crate::Lognormal`] | [`SampleKernel::Lognormal`] | conditional inlines the trait default (`sf` is the trait default `1 − cdf`) |
 //! | [`crate::Degenerate`] | [`SampleKernel::Degenerate`] | consumes **no** RNG draws, matching both overrides |
@@ -43,8 +57,9 @@
 //! | [`crate::CompetingRisks`] | [`SampleKernel::Competing`] | children lowered recursively; conditional delegates to the source object |
 //! | anything else | [`SampleKernel::Boxed`] | full fallback to the `dyn` methods (e.g. future empirical resampling distributions — [`crate::empirical`] currently defines estimators, not `LifeDistribution`s) |
 
+use crate::rng::SimRng;
+use crate::weibull::{weibull_cdf, weibull_quantile, weibull_sf};
 use crate::{rng_f64, DistError, LifeDistribution};
-use rand::Rng;
 use std::sync::Arc;
 
 /// An exponential tilt of the unit-uniform variate feeding a quantile
@@ -193,14 +208,15 @@ impl Forcing {
 /// Numerical-evaluation mode for the block sampling paths.
 ///
 /// [`MathMode::Exact`] keeps every block draw bit-identical to the
-/// scalar path — the default everywhere. [`MathMode::Fast`] permits
-/// algebraic rewrites that change the float-op sequence (`sqrt` for
-/// `powf(0.5)`, squaring for `powf(2.0)`, identity for `powf(1.0)`),
-/// trading bit-identity for throughput; the relative error per draw is
-/// bounded by a few ULPs (the equivalence suite enforces `< 1e-12`
-/// relative). Fast mode is opt-in (the CLI's `--fast-math`) and
-/// perturbs checkpoint fingerprints so exact and fast runs never mix —
-/// see DESIGN.md §18.
+/// scalar path — the default everywhere; it already includes the
+/// bit-exact unit-shape identity (`powf(x, 1.0)` → `x`, see the module
+/// docs). [`MathMode::Fast`] permits algebraic rewrites that change the
+/// float-op sequence (`sqrt` for `powf(0.5)`, squaring for
+/// `powf(2.0)`), trading bit-identity for throughput; the relative
+/// error per draw is bounded by a few ULPs (the equivalence suite
+/// enforces `< 1e-12` relative). Fast mode is opt-in (the CLI's
+/// `--fast-math`) and perturbs checkpoint fingerprints so exact and
+/// fast runs never mix — see DESIGN.md §18.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MathMode {
     /// Bit-identical float-op sequences — the block-draw contract.
@@ -315,7 +331,7 @@ impl SampleKernel {
 
     /// Draws one lifetime; bit-identical to
     /// [`LifeDistribution::sample`] on the source distribution.
-    pub fn sample(&self, rng: &mut dyn Rng) -> f64 {
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
         match self {
             SampleKernel::Weibull3 {
                 gamma,
@@ -324,7 +340,7 @@ impl SampleKernel {
                 ..
             } => {
                 let u = rng_f64(rng);
-                weibull_quantile(*gamma, *eta, *inv_beta, u)
+                weibull_quantile(*gamma, *eta, *inv_beta, u, MathMode::Exact)
             }
             SampleKernel::Exponential { rate } => {
                 let u = rng_f64(rng);
@@ -362,7 +378,7 @@ impl SampleKernel {
     /// Draws a residual lifetime conditional on survival to `t0`;
     /// bit-identical to [`LifeDistribution::sample_conditional`] on the
     /// source distribution.
-    pub fn sample_conditional(&self, t0: f64, rng: &mut dyn Rng) -> f64 {
+    pub fn sample_conditional(&self, t0: f64, rng: &mut SimRng) -> f64 {
         match self {
             SampleKernel::Weibull3 {
                 gamma,
@@ -378,7 +394,7 @@ impl SampleKernel {
                 }
                 let u = rng_f64(rng);
                 let p = weibull_cdf(*gamma, *eta, *beta, t0) + u * s0;
-                (weibull_quantile(*gamma, *eta, *inv_beta, p) - t0).max(0.0)
+                (weibull_quantile(*gamma, *eta, *inv_beta, p, MathMode::Exact) - t0).max(0.0)
             }
             SampleKernel::Exponential { rate } => {
                 // Memorylessness, matching the dyn override.
@@ -426,7 +442,7 @@ impl SampleKernel {
     ///   product over mechanisms;
     /// * `Boxed` falls back to the untilted `dyn` path with ratio 1 —
     ///   unknown families stay correct, just un-accelerated.
-    pub fn sample_tilted(&self, tilt: Tilt, log_weight: &mut f64, rng: &mut dyn Rng) -> f64 {
+    pub fn sample_tilted(&self, tilt: Tilt, log_weight: &mut f64, rng: &mut SimRng) -> f64 {
         match self {
             SampleKernel::Weibull3 {
                 gamma,
@@ -436,7 +452,7 @@ impl SampleKernel {
             } => {
                 let (v, lw) = tilt.warp(rng_f64(rng));
                 *log_weight += lw;
-                weibull_quantile(*gamma, *eta, *inv_beta, v)
+                weibull_quantile(*gamma, *eta, *inv_beta, v, MathMode::Exact)
             }
             SampleKernel::Exponential { rate } => {
                 let (v, lw) = tilt.warp(rng_f64(rng));
@@ -486,7 +502,7 @@ impl SampleKernel {
         t0: f64,
         tilt: Tilt,
         log_weight: &mut f64,
-        rng: &mut dyn Rng,
+        rng: &mut SimRng,
     ) -> f64 {
         match self {
             SampleKernel::Weibull3 {
@@ -502,7 +518,7 @@ impl SampleKernel {
                 let (v, lw) = tilt.warp(rng_f64(rng));
                 *log_weight += lw;
                 let p = weibull_cdf(*gamma, *eta, *beta, t0) + v * s0;
-                (weibull_quantile(*gamma, *eta, *inv_beta, p) - t0).max(0.0)
+                (weibull_quantile(*gamma, *eta, *inv_beta, p, MathMode::Exact) - t0).max(0.0)
             }
             SampleKernel::Exponential { rate } => {
                 let (v, lw) = tilt.warp(rng_f64(rng));
@@ -547,7 +563,7 @@ impl SampleKernel {
         window: f64,
         forcing: Forcing,
         log_weight: &mut f64,
-        rng: &mut dyn Rng,
+        rng: &mut SimRng,
     ) -> f64 {
         match self {
             SampleKernel::Weibull3 {
@@ -565,7 +581,7 @@ impl SampleKernel {
                 let (v, lw) = forcing.warp(rng_f64(rng), q);
                 *log_weight += lw;
                 let p = f0 + v * s0;
-                (weibull_quantile(*gamma, *eta, *inv_beta, p) - t0).max(0.0)
+                (weibull_quantile(*gamma, *eta, *inv_beta, p, MathMode::Exact) - t0).max(0.0)
             }
             SampleKernel::Exponential { rate } => {
                 // Memorylessness: the residual is Exponential(rate) and
@@ -638,7 +654,7 @@ impl SampleKernel {
                 ..
             } => {
                 for u in us.iter_mut() {
-                    *u = weibull_quantile_mode(*gamma, *eta, *inv_beta, *u, mode);
+                    *u = weibull_quantile(*gamma, *eta, *inv_beta, *u, mode);
                 }
             }
             SampleKernel::Exponential { rate } => {
@@ -671,7 +687,7 @@ impl SampleKernel {
     /// dense transform; `Degenerate` consumes no words; composite and
     /// boxed kernels fall back to the scalar loop (their word count is
     /// data-dependent).
-    pub fn sample_block(&self, mode: MathMode, rng: &mut dyn Rng, out: &mut [f64]) {
+    pub fn sample_block(&self, mode: MathMode, rng: &mut SimRng, out: &mut [f64]) {
         match self.words_per_sample() {
             Some(1) => {
                 crate::rng::fill_uniforms(rng, out);
@@ -695,7 +711,7 @@ impl SampleKernel {
         &self,
         mode: MathMode,
         t0: f64,
-        rng: &mut dyn Rng,
+        rng: &mut SimRng,
         out: &mut [f64],
     ) {
         match self {
@@ -716,7 +732,7 @@ impl SampleKernel {
                 crate::rng::fill_uniforms(rng, out);
                 for u in out.iter_mut() {
                     let p = f0 + *u * s0;
-                    *u = (weibull_quantile_mode(*gamma, *eta, *inv_beta, p, mode) - t0).max(0.0);
+                    *u = (weibull_quantile(*gamma, *eta, *inv_beta, p, mode) - t0).max(0.0);
                 }
             }
             SampleKernel::Exponential { rate } => {
@@ -761,7 +777,7 @@ impl SampleKernel {
         mode: MathMode,
         tilt: Tilt,
         log_weight: &mut f64,
-        rng: &mut dyn Rng,
+        rng: &mut SimRng,
         out: &mut [f64],
     ) {
         match self {
@@ -800,7 +816,7 @@ impl SampleKernel {
         t0: f64,
         tilt: Tilt,
         log_weight: &mut f64,
-        rng: &mut dyn Rng,
+        rng: &mut SimRng,
         out: &mut [f64],
     ) {
         match self {
@@ -821,7 +837,7 @@ impl SampleKernel {
                     let (v, lw) = tilt.warp(*u);
                     *log_weight += lw;
                     let p = f0 + v * s0;
-                    *u = (weibull_quantile_mode(*gamma, *eta, *inv_beta, p, mode) - t0).max(0.0);
+                    *u = (weibull_quantile(*gamma, *eta, *inv_beta, p, mode) - t0).max(0.0);
                 }
             }
             SampleKernel::Exponential { rate } => {
@@ -872,7 +888,7 @@ impl SampleKernel {
         window: f64,
         forcing: Forcing,
         log_weight: &mut f64,
-        rng: &mut dyn Rng,
+        rng: &mut SimRng,
         out: &mut [f64],
     ) {
         match self {
@@ -894,7 +910,7 @@ impl SampleKernel {
                     let (v, lw) = forcing.warp(*u, q);
                     *log_weight += lw;
                     let p = f0 + v * s0;
-                    *u = (weibull_quantile_mode(*gamma, *eta, *inv_beta, p, mode) - t0).max(0.0);
+                    *u = (weibull_quantile(*gamma, *eta, *inv_beta, p, mode) - t0).max(0.0);
                 }
             }
             SampleKernel::Exponential { rate } => {
@@ -934,65 +950,35 @@ impl SampleKernel {
     }
 }
 
-/// The exact float-op sequence of `Weibull3::quantile`, with the
-/// reciprocal shape hoisted.
+/// `x.powf(e)` in the given evaluation mode.
+///
+/// [`MathMode::Exact`] skips the call when `e` is exactly `1.0` and
+/// returns `x`: that is the unit-shape identity, which is bit-exact
+/// (see the module docs), so it is part of the exact contract rather
+/// than a fast-math rewrite. [`MathMode::Fast`] additionally
+/// specializes the exponents with a cheaper algebraic form (`0.5` →
+/// `sqrt`, `2.0` → square), which changes the float-op sequence and is
+/// therefore only reachable through the opt-in fast-math paths.
 #[inline]
-fn weibull_quantile(gamma: f64, eta: f64, inv_beta: f64, p: f64) -> f64 {
-    weibull_quantile_mode(gamma, eta, inv_beta, p, MathMode::Exact)
-}
-
-/// [`weibull_quantile`] with a selectable evaluation mode: `Exact`
-/// reproduces the scalar op sequence bit-for-bit; `Fast` specializes
-/// the `powf` for the exponents that admit a cheaper exact-algebra
-/// form (`0.5` → `sqrt`, `1.0` → identity, `2.0` → square), which
-/// reorders float ops and is therefore only reachable through the
-/// opt-in fast-math paths.
-#[inline]
-fn weibull_quantile_mode(gamma: f64, eta: f64, inv_beta: f64, p: f64, mode: MathMode) -> f64 {
-    if p <= 0.0 {
-        return gamma;
-    }
-    assert!(p < 1.0, "quantile requires p in [0, 1), got {p}");
-    gamma + eta * powf_mode(-(-p).ln_1p(), inv_beta, mode)
-}
-
-/// `x.powf(e)` with [`MathMode::Fast`] exponent specialization.
-#[inline]
-fn powf_mode(x: f64, e: f64, mode: MathMode) -> f64 {
+pub(crate) fn powf_mode(x: f64, e: f64, mode: MathMode) -> f64 {
     match mode {
-        MathMode::Exact => x.powf(e),
-        MathMode::Fast => {
-            if e == 0.5 {
-                x.sqrt()
-            } else if e == 1.0 {
+        MathMode::Exact => {
+            if e == 1.0 {
                 x
-            } else if e == 2.0 {
-                x * x
             } else {
                 x.powf(e)
             }
         }
+        MathMode::Fast => {
+            if e == 0.5 {
+                x.sqrt()
+            } else if e == 2.0 {
+                x * x
+            } else {
+                powf_mode(x, e, MathMode::Exact)
+            }
+        }
     }
-}
-
-/// The exact float-op sequence of `Weibull3::sf`.
-#[inline]
-fn weibull_sf(gamma: f64, eta: f64, beta: f64, t: f64) -> f64 {
-    if t <= gamma {
-        return 1.0;
-    }
-    let z = ((t - gamma) / eta).max(0.0);
-    (-z.powf(beta)).exp()
-}
-
-/// The exact float-op sequence of `Weibull3::cdf`.
-#[inline]
-fn weibull_cdf(gamma: f64, eta: f64, beta: f64, t: f64) -> f64 {
-    if t <= gamma {
-        return 0.0;
-    }
-    let z = ((t - gamma) / eta).max(0.0);
-    -(-z.powf(beta)).exp_m1()
 }
 
 /// The exact float-op sequence of `Lognormal::quantile`.
@@ -1023,6 +1009,40 @@ mod tests {
     fn lowered(d: Arc<dyn LifeDistribution>) -> (Arc<dyn LifeDistribution>, SampleKernel) {
         let k = SampleKernel::lower(&d);
         (d, k)
+    }
+
+    /// Pins the libm property the unit-shape identity rests on: `powf`
+    /// with exponent 1 returns its argument bit for bit. On a libm
+    /// without it, skipping `powf` would change β = 1 draws, so the
+    /// property must fail loudly here rather than move results.
+    #[test]
+    fn unit_exponent_powf_is_the_identity() {
+        // Opaque, so the compiler cannot fold `powf(x, 1.0)` to `x`
+        // and the check really calls libm.
+        let one = std::hint::black_box(1.0f64);
+        let same = |x: f64| x.powf(one).to_bits() == x.to_bits();
+        let mut edges = vec![
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1.0f64.next_down(),
+            1.0,
+            1.0f64.next_up(),
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        edges.extend((-1074..=1023).map(|e| 2.0f64.powi(e)));
+        for x in edges {
+            assert!(same(x), "powf({x:e}, 1.0) is not {x:e}");
+            assert_eq!(powf_mode(x, 1.0, MathMode::Exact).to_bits(), x.to_bits());
+        }
+        let mut rng = stream(2_024, 0);
+        for _ in 0..1_000_000 {
+            let u = rng_f64(&mut rng);
+            // The uniform itself and the quantile's `powf` argument.
+            let e = -(-u).ln_1p();
+            assert!(same(u) && same(e), "powf(x, 1.0) moved x for u = {u:e}");
+        }
     }
 
     #[test]

@@ -176,11 +176,15 @@ pub trait LifeDistribution: std::fmt::Debug + Send + Sync {
     }
 }
 
-/// Uniform variate in `[0, 1)` from a dynamic RNG.
+/// Uniform variate in `[0, 1)`.
 ///
-/// `rand`'s ergonomic helpers require `Sized` RNGs; this helper keeps the
-/// [`LifeDistribution`] trait object-safe.
-pub(crate) fn rng_f64(rng: &mut dyn Rng) -> f64 {
+/// `rand`'s ergonomic helpers require `Sized` RNGs; this helper also
+/// accepts `dyn Rng`, keeping the [`LifeDistribution`] trait
+/// object-safe, while the kernel path instantiates it on the concrete
+/// [`rng::SimRng`] so the word draw inlines. One conversion formula
+/// serves both.
+#[inline]
+pub(crate) fn rng_f64<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // 53 random mantissa bits, the standard conversion used by `rand`.
     (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }

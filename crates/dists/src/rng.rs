@@ -53,7 +53,7 @@ pub fn stream(master: u64, index: u64) -> SimRng {
 /// produced floats unchanged relative to the one-at-a-time path. This
 /// is the foundation of the block-draw bit-identity contract (DESIGN.md
 /// §18).
-pub fn fill_uniforms(rng: &mut dyn rand::Rng, out: &mut [f64]) {
+pub fn fill_uniforms<R: rand::Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
     for u in out.iter_mut() {
         *u = crate::rng_f64(rng);
     }

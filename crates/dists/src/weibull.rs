@@ -1,3 +1,4 @@
+use crate::kernel::{powf_mode, MathMode};
 use crate::special::{weibull_mean, weibull_variance};
 use crate::{rng_f64, DistError, LifeDistribution, SampleKernel};
 use rand::Rng;
@@ -155,11 +156,7 @@ impl Weibull3 {
 
 impl LifeDistribution for Weibull3 {
     fn cdf(&self, t: f64) -> f64 {
-        if t <= self.gamma {
-            return 0.0;
-        }
-        let z = self.z(t);
-        -(-z.powf(self.beta)).exp_m1()
+        weibull_cdf(self.gamma, self.eta, self.beta, t)
     }
 
     fn pdf(&self, t: f64) -> f64 {
@@ -180,15 +177,7 @@ impl LifeDistribution for Weibull3 {
     }
 
     fn quantile(&self, p: f64) -> f64 {
-        if p <= 0.0 {
-            return self.gamma;
-        }
-        assert!(p < 1.0, "quantile requires p in [0, 1), got {p}");
-        // ln(1 - p) via ln_1p(-p): the naive `(1.0 - p).ln()` rounds
-        // `1 - p` to 1.0 for p below ~1e-16 (the quantile collapses to
-        // gamma, so B-lives of ultra-reliable tails read as the location
-        // parameter) and loses relative precision for all small p.
-        self.gamma + self.eta * (-(-p).ln_1p()).powf(1.0 / self.beta)
+        weibull_quantile(self.gamma, self.eta, 1.0 / self.beta, p, MathMode::Exact)
     }
 
     fn mean(&self) -> f64 {
@@ -196,10 +185,7 @@ impl LifeDistribution for Weibull3 {
     }
 
     fn sf(&self, t: f64) -> f64 {
-        if t <= self.gamma {
-            return 1.0;
-        }
-        (-self.z(t).powf(self.beta)).exp()
+        weibull_sf(self.gamma, self.eta, self.beta, t)
     }
 
     fn hazard(&self, t: f64) -> f64 {
@@ -236,6 +222,47 @@ impl LifeDistribution for Weibull3 {
             inv_beta: 1.0 / self.beta,
         })
     }
+}
+
+// The Weibull float-op sequences, shared by the `Weibull3` overrides
+// above and the `SampleKernel::Weibull3` kernel so the two paths agree
+// bit for bit by construction. Every `x^β` goes through `powf_mode`,
+// whose exact arm returns `x` unchanged for an exponent of exactly 1.
+
+/// Quantile `γ + η·(−ln(1 − p))^(1/β)` with the reciprocal shape
+/// `inv_beta` passed in (the kernel hoists it; `quantile` computes it
+/// per call).
+#[inline]
+pub(crate) fn weibull_quantile(gamma: f64, eta: f64, inv_beta: f64, p: f64, mode: MathMode) -> f64 {
+    if p <= 0.0 {
+        return gamma;
+    }
+    assert!(p < 1.0, "quantile requires p in [0, 1), got {p}");
+    // ln(1 - p) via ln_1p(-p): the naive `(1.0 - p).ln()` rounds
+    // `1 - p` to 1.0 for p below ~1e-16 (the quantile collapses to
+    // gamma, so B-lives of ultra-reliable tails read as the location
+    // parameter) and loses relative precision for all small p.
+    gamma + eta * powf_mode(-(-p).ln_1p(), inv_beta, mode)
+}
+
+/// Survival function `exp(−((t − γ)/η)^β)`.
+#[inline]
+pub(crate) fn weibull_sf(gamma: f64, eta: f64, beta: f64, t: f64) -> f64 {
+    if t <= gamma {
+        return 1.0;
+    }
+    let z = ((t - gamma) / eta).max(0.0);
+    (-powf_mode(z, beta, MathMode::Exact)).exp()
+}
+
+/// CDF `1 − exp(−((t − γ)/η)^β)`, via `exp_m1` for the lower tail.
+#[inline]
+pub(crate) fn weibull_cdf(gamma: f64, eta: f64, beta: f64, t: f64) -> f64 {
+    if t <= gamma {
+        return 0.0;
+    }
+    let z = ((t - gamma) / eta).max(0.0);
+    -(-powf_mode(z, beta, MathMode::Exact)).exp_m1()
 }
 
 #[cfg(test)]

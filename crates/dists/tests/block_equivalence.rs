@@ -10,8 +10,8 @@
 //! log-weights must also match to the bit, which pins the summation
 //! order). [`MathMode::Fast`] is exercised separately with an explicit
 //! tolerance: per-draw relative error below `1e-12` against the exact
-//! path, with the `powf`-specializable shapes (`1/β ∈ {0.5, 1, 2}`)
-//! covered deliberately.
+//! path, with the `powf`-specializable shapes (`1/β ∈ {0.5, 2}`) and
+//! the unit shape both modes share (`1/β = 1`) covered deliberately.
 
 use proptest::prelude::*;
 use raidsim_dists::kernel::{Forcing, MathMode, Tilt};
@@ -131,8 +131,19 @@ fn assert_block_bit_identical(dist: &Arc<dyn LifeDistribution>, seed: u64, fracs
     );
 }
 
+/// Weibull `(γ, η, β)`: the free shape range almost never lands on a
+/// specific value, so the paper's Table 2 shapes are mixed in exactly —
+/// β = 1 (latent defects, the unit-shape `powf` skip), 1.12 (TTOp),
+/// 2 (TTR) and 3 (TTScrub).
 fn weibull_params() -> impl Strategy<Value = (f64, f64, f64)> {
-    (0.0..48.0f64, 1.0..1.0e6f64, 0.3..5.0f64)
+    let beta = prop_oneof![
+        Just(1.0f64),
+        Just(1.12f64),
+        Just(2.0f64),
+        Just(3.0f64),
+        0.3..5.0f64,
+    ];
+    (0.0..48.0f64, 1.0..1.0e6f64, beta)
 }
 
 fn t0_fracs() -> impl Strategy<Value = Vec<f64>> {
@@ -253,8 +264,9 @@ proptest! {
     /// consume exactly the same RNG words.
     #[test]
     fn fast_math_blocks_stay_within_tolerance(
-        // β ∈ {0.5, 1, 2} hit the specialized powf exponents 2, 1 and
-        // 0.5; the free range covers the generic fallback.
+        // β ∈ {0.5, 2} hit the fast-only powf exponents 2 and 0.5,
+        // β = 1 the unit-exponent identity shared with exact mode; the
+        // free range covers the generic fallback.
         beta in prop_oneof![Just(0.5f64), Just(1.0f64), Just(2.0f64), 0.3..5.0f64],
         eta in 1.0..1.0e6f64,
         gamma in 0.0..48.0f64,
@@ -280,17 +292,18 @@ proptest! {
         prop_assert_eq!(rng_exact.next_u64(), rng_fast.next_u64());
     }
 
-    /// The specializable exponents are *exactly* equal under fast math
-    /// when the rewrite is value-preserving (`powf(x, 1.0) == x`), and
-    /// within one ulp-scale tolerance for sqrt/square.
+    /// The unit exponent is *exactly* equal under fast math: both modes
+    /// take the exact arm's `powf(x, 1.0) == x` identity, so β = 1
+    /// draws cannot drift between them (sqrt/square stay within the
+    /// tolerance above).
     #[test]
     fn fast_math_identity_exponent_is_bit_identical(
         eta in 1.0..1.0e6f64,
         gamma in 0.0..48.0f64,
         seed in any::<u64>(),
     ) {
-        // β = 1: inv_beta = 1.0, powf_mode returns x unchanged and the
-        // surrounding op sequence is untouched — bit-identical.
+        // β = 1: inv_beta = 1.0; fast mode falls through to the exact
+        // arm, which returns x unchanged — bit-identical.
         let d: Arc<dyn LifeDistribution> = Arc::new(Weibull3::new(gamma, eta, 1.0).unwrap());
         let kernel = SampleKernel::lower(&d);
         let mut rng_exact = rand::rngs::StdRng::seed_from_u64(seed);
