@@ -63,11 +63,15 @@
 //!
 //! Version 2 extended the [`StreamStats`] block with the five weighted
 //! importance-sampling moments and folded the bias policy into the
-//! fingerprint. Version-1 files (always from unbiased runs) are still
-//! readable: their weighted moments are reconstructed exactly as
-//! weight-1 sums ([`StreamStats::decode_version`]), and the runner
-//! validates them against [`legacy_config_fingerprint_v1`]. Writes are
-//! always version 2.
+//! fingerprint. Version-1 files are refused with
+//! [`CheckpointError::VersionMismatch`]: their fingerprint cannot attest
+//! which sampler drew their groups.
+//!
+//! The fingerprint also hashes [`raidsim_dists::SAMPLER_VERSION`], so a
+//! snapshot whose groups an older sampler drew is refused on resume
+//! with [`CheckpointError::ConfigMismatch`], even though its layout
+//! still parses: resuming it would mix two streams' draws in one
+//! estimate.
 //!
 //! Writes are atomic: the snapshot is written to a sibling temp file,
 //! fsynced, and renamed over the target, so a crash mid-write leaves
@@ -83,16 +87,16 @@ use crate::config::RaidGroupConfig;
 use crate::engine::BiasPolicy;
 use crate::stats::{Decoder, StreamStats};
 use crate::store::{FsStore, SnapshotStore};
+use raidsim_dists::SAMPLER_VERSION;
 use std::fmt;
 use std::path::Path;
 
 /// On-disk format version; bumped whenever the layout or the meaning of
 /// any field changes. Version 2 added the weighted importance-sampling
-/// moments; version-1 files are still accepted on read.
+/// moments. A change of draws alone bumps
+/// [`raidsim_dists::SAMPLER_VERSION`] instead, which the fingerprint
+/// covers.
 pub const FORMAT_VERSION: u32 = 2;
-
-/// The oldest format version [`SimCheckpoint::from_bytes`] still reads.
-pub const OLDEST_READABLE_VERSION: u32 = 1;
 
 /// Leading magic bytes of every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"RAIDSIMC";
@@ -201,7 +205,9 @@ impl std::error::Error for CheckpointError {}
 /// configuration (drives, redundancy, mission, every transition
 /// distribution's parameters, spare policy), the engine implementation,
 /// the bias policy (a resumed run must re-draw under the same measure
-/// or the weights are meaningless), and the on-disk format version.
+/// or the weights are meaningless), the on-disk format version, and the
+/// sampler version ([`raidsim_dists::SAMPLER_VERSION`]: the same seed
+/// draws different groups under another sampler).
 ///
 /// The hash is FNV-1a 64 over the configuration's and policy's `Debug`
 /// renderings — Rust's float formatting is shortest-round-trip and
@@ -216,22 +222,8 @@ pub fn config_fingerprint(cfg: &RaidGroupConfig, engine_name: &str, bias: BiasPo
     hash.write(format!("{cfg:?}").as_bytes());
     hash.write(b"\0");
     hash.write(format!("{bias:?}").as_bytes());
-    hash.finish()
-}
-
-/// The fingerprint a version-1 build recorded for the same run.
-///
-/// Version-1 files predate importance sampling, so their hash covers
-/// neither a bias policy nor the version-2 format constant; the runner
-/// uses this to validate a version-1 checkpoint when resuming an
-/// unbiased run (a biased resume of a version-1 file is refused
-/// outright — the old fingerprint cannot attest to a measure change).
-pub fn legacy_config_fingerprint_v1(cfg: &RaidGroupConfig, engine_name: &str) -> u64 {
-    let mut hash = Fnv1a::new();
-    hash.write(&1u32.to_le_bytes());
-    hash.write(engine_name.as_bytes());
-    hash.write(b"\0");
-    hash.write(format!("{cfg:?}").as_bytes());
+    hash.write(b"\0sampler");
+    hash.write(&SAMPLER_VERSION.to_le_bytes());
     hash.finish()
 }
 
@@ -403,10 +395,9 @@ fn mode_name(precision: bool) -> &'static str {
 /// A resumable snapshot of an in-flight (or finished) run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimCheckpoint {
-    /// Format version of the file this snapshot was parsed from
-    /// ([`FORMAT_VERSION`] for freshly built snapshots). The runner
-    /// needs it to pick the matching fingerprint scheme: version-1
-    /// files recorded [`legacy_config_fingerprint_v1`].
+    /// Format version of the snapshot: always [`FORMAT_VERSION`], the
+    /// only version [`SimCheckpoint::from_bytes`] reads and the one
+    /// [`SimCheckpoint::to_bytes`] writes.
     pub format_version: u32,
     /// Run identity (see [`config_fingerprint`]).
     pub fingerprint: u64,
@@ -479,7 +470,7 @@ impl SimCheckpoint {
         let version = r
             .u32()
             .map_err(|_| corrupt("truncated before the version field".into()))?;
-        if !(OLDEST_READABLE_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(CheckpointError::VersionMismatch {
                 found: version,
                 expected: FORMAT_VERSION,
@@ -515,7 +506,7 @@ impl SimCheckpoint {
         let fingerprint = p.u64().map_err(|e| corrupt(format!("payload: {e}")))?;
         let driver = DriverState::decode(&mut p).map_err(|e| corrupt(format!("payload: {e}")))?;
         let groups_done = p.u64().map_err(|e| corrupt(format!("payload: {e}")))?;
-        let stats = StreamStats::decode_version(p.remaining(), version)
+        let stats = StreamStats::decode(p.remaining())
             .map_err(|e| corrupt(format!("statistics state: {e}")))?;
         if stats.groups() != groups_done {
             return Err(corrupt(format!(
@@ -625,7 +616,8 @@ impl SimCheckpoint {
                 field: "config",
                 reason: format!(
                     "fingerprint {:016x} in the checkpoint, {fingerprint:016x} for the \
-                     requested configuration/engine",
+                     requested run: the configuration, engine, bias or sampler version \
+                     (now {SAMPLER_VERSION}) differ; rerun from scratch",
                     self.fingerprint
                 ),
             });
@@ -668,21 +660,13 @@ pub fn merge_shards(mut shards: Vec<SimCheckpoint>) -> Result<SimCheckpoint, Che
     let seed = first.driver.seed;
     let batch = first.driver.batch;
     for (i, shard) in shards.iter().enumerate() {
-        if shard.format_version != FORMAT_VERSION {
-            return Err(CheckpointError::ConfigMismatch {
-                field: "format_version",
-                reason: format!(
-                    "shard {i} is format version {}, expected {FORMAT_VERSION}",
-                    shard.format_version
-                ),
-            });
-        }
         if shard.fingerprint != fingerprint {
             return Err(CheckpointError::ConfigMismatch {
                 field: "fingerprint",
                 reason: format!(
                     "shard {i} has fingerprint {:016x}, shard 0 has {fingerprint:016x} — \
-                     shards must come from the same configuration, engine, bias, and math mode",
+                     shards must come from the same configuration, engine, bias, math mode, \
+                     and sampler version",
                     shard.fingerprint
                 ),
             });
@@ -914,18 +898,15 @@ mod tests {
             config_fingerprint(&base(), "des", tilt),
             config_fingerprint(&base(), "des", other_tilt)
         );
-        // …and the version-1 scheme is distinct from every version-2
-        // fingerprint of the same run.
-        assert_ne!(a, legacy_config_fingerprint_v1(&base(), "des"));
     }
 
     #[test]
-    fn version_1_files_parse_with_exact_unit_weights() {
-        let ckpt = sample_checkpoint();
-        let mut bytes = ckpt.to_bytes();
-        // Rewrite the image into the version-1 layout: drop the five
-        // weighted u128 stats fields (bytes 104..184 of the stats
-        // block) and re-stamp version, payload length, and checksum.
+    fn version_1_files_are_refused_as_version_mismatch() {
+        // A version-1 image: the version-2 one minus the five weighted
+        // u128 stats fields (bytes 104..184 of the stats block), with
+        // version, payload length, and checksum re-stamped so the
+        // version check is what fires.
+        let mut bytes = sample_checkpoint().to_bytes();
         let stats_start = 20 + 8 + 41 + 8; // header, fingerprint, driver, groups_done
         bytes.drain(stats_start + 104..stats_start + 184);
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
@@ -936,15 +917,13 @@ mod tests {
         hash.write(&bytes[..n - 8]);
         let sum = hash.finish();
         bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
-
-        let v1 = SimCheckpoint::from_bytes(&bytes).unwrap();
-        assert_eq!(v1.format_version, 1);
-        // The unbiased run's weighted moments reconstruct exactly, so
-        // the parsed statistics equal the natively accumulated ones
-        // bit for bit.
-        assert_eq!(v1.stats, ckpt.stats);
-        assert_eq!(v1.driver, ckpt.driver);
-        assert_eq!(v1.fingerprint, ckpt.fingerprint);
+        assert_eq!(
+            SimCheckpoint::from_bytes(&bytes),
+            Err(CheckpointError::VersionMismatch {
+                found: 1,
+                expected: FORMAT_VERSION
+            })
+        );
     }
 
     #[test]
@@ -953,13 +932,15 @@ mod tests {
         let mut driver = ckpt.driver;
         assert!(ckpt.validate_for(ckpt.fingerprint, &driver).is_ok());
 
-        assert!(matches!(
-            ckpt.validate_for(ckpt.fingerprint ^ 1, &driver),
+        match ckpt.validate_for(ckpt.fingerprint ^ 1, &driver) {
             Err(CheckpointError::ConfigMismatch {
                 field: "config",
-                ..
-            })
-        ));
+                reason,
+                // The message lists the sampler version among the causes;
+                // that it is hashed is pinned in tests/rare_event.rs.
+            }) => assert!(reason.contains("sampler version"), "{reason}"),
+            other => panic!("expected a config mismatch, got {other:?}"),
+        }
         driver.seed = 10;
         assert!(matches!(
             ckpt.validate_for(ckpt.fingerprint, &driver),

@@ -227,7 +227,9 @@ impl SessionTuning {
 /// 2. de-interleaves them into per-kernel lanes,
 /// 3. applies any tilt warps **in scalar element order**, so the
 ///    log-weight accumulates with the identical association, and
-/// 4. runs each kernel's pure dense transform over its lane.
+/// 4. runs each kernel's pure dense transform over its lane — the
+///    warped-variate transform on tilted lanes, the grid transform on
+///    the rest.
 ///
 /// Steps 3–4 touch no RNG state, so under [`MathMode::Exact`] the
 /// lanes are bit-identical to the scalar interleaved loop and the RNG
@@ -311,11 +313,22 @@ impl BlockCursor {
                 }
             }
         }
-        a.samples_from_uniforms(mode, &mut self.lane_a);
+        lane_transform(a, tilt_a.is_some(), mode, &mut self.lane_a);
         if let Some((kb, _)) = b {
-            kb.samples_from_uniforms(mode, &mut self.lane_b);
+            lane_transform(kb, tilt_b.is_some(), mode, &mut self.lane_b);
         }
         (&self.lane_a, &self.lane_b)
+    }
+}
+
+/// The dense transform of one block lane: warped lanes take the
+/// off-grid transform that [`SampleKernel::sample_tilted`] applies, so
+/// tilted lanes stay bit-identical to the scalar [`draw`].
+fn lane_transform(kernel: &SampleKernel, warped: bool, mode: MathMode, lane: &mut [f64]) {
+    if warped {
+        kernel.samples_from_warped(mode, lane);
+    } else {
+        kernel.samples_from_uniforms(mode, lane);
     }
 }
 
@@ -552,5 +565,83 @@ impl<F: FnMut(&mut SimRng) -> GroupHistory> EngineSession for OneShotSession<F> 
 
     fn counters(&self) -> EngineCounters {
         self.counters
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use raidsim_dists::rng::stream;
+    use raidsim_dists::{Exponential, LifeDistribution, Weibull3};
+    use std::sync::Arc;
+
+    fn kernel(d: impl LifeDistribution + 'static) -> SampleKernel {
+        let d: Arc<dyn LifeDistribution> = Arc::new(d);
+        SampleKernel::lower(&d)
+    }
+
+    /// The block cursor's lanes, log-weight and final RNG position
+    /// equal the scalar interleaved [`draw`] loop's to the bit, for
+    /// every tilt placement — the tilted Weibull lanes in particular
+    /// must use the off-grid `Exp(1)` transform the scalar path uses.
+    #[test]
+    fn draw_interleaved_matches_the_scalar_draw_loop_bit_for_bit() {
+        let kernels = [
+            kernel(Weibull3::new(6.0, 12.0, 2.0).unwrap()),
+            kernel(Weibull3::new(0.0, 461_386.0, 1.12).unwrap()),
+            kernel(Weibull3::new(0.0, 9_259.0, 1.0).unwrap()),
+            kernel(Weibull3::new(0.0, 100.0, 0.5).unwrap()),
+            kernel(Exponential::from_mean(50.0).unwrap()),
+        ];
+        let tilts = [
+            None,
+            Some(Tilt::new(0.8).unwrap()),
+            Some(Tilt::new(-0.4).unwrap()),
+        ];
+        let n = 257;
+        let mut cursor = BlockCursor::new();
+        let mut case = 0;
+        for a in &kernels {
+            for b in kernels.iter().map(Some).chain([None]) {
+                for &tilt_a in &tilts {
+                    for &tilt_b in &tilts {
+                        case += 1;
+                        let mut rng_scalar = stream(97, case);
+                        let mut rng_block = stream(97, case);
+                        let (mut lw_scalar, mut lw_block) = (0.0, 0.0);
+                        let mut want_a = Vec::with_capacity(n);
+                        let mut want_b = Vec::with_capacity(n);
+                        for _ in 0..n {
+                            want_a.push(draw(a, tilt_a, &mut lw_scalar, &mut rng_scalar));
+                            if let Some(kb) = b {
+                                want_b.push(draw(kb, tilt_b, &mut lw_scalar, &mut rng_scalar));
+                            }
+                        }
+                        let (got_a, got_b) = cursor.draw_interleaved(
+                            n,
+                            a,
+                            tilt_a,
+                            b.map(|kb| (kb, tilt_b)),
+                            MathMode::Exact,
+                            &mut lw_block,
+                            &mut rng_block,
+                        );
+                        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(got_a), bits(&want_a), "lane a, case {case}");
+                        assert_eq!(bits(got_b), bits(&want_b), "lane b, case {case}");
+                        assert_eq!(
+                            lw_block.to_bits(),
+                            lw_scalar.to_bits(),
+                            "weight, case {case}"
+                        );
+                        assert_eq!(
+                            rand::Rng::next_u64(&mut rng_block),
+                            rand::Rng::next_u64(&mut rng_scalar),
+                            "rng position, case {case}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -46,8 +46,7 @@
 //! checkpoint can resume bit-identically (see [`crate::checkpoint`]).
 
 use crate::checkpoint::{
-    config_fingerprint, legacy_config_fingerprint_v1, tuned_fingerprint, CheckpointError,
-    DriverState, SimCheckpoint,
+    config_fingerprint, tuned_fingerprint, CheckpointError, DriverState, SimCheckpoint,
 };
 use crate::config::RaidGroupConfig;
 use crate::engine::{BiasPolicy, DesEngine, Engine, EngineCounters, EngineSession, SessionTuning};
@@ -956,27 +955,7 @@ impl Simulator {
         let fingerprint = self.run_fingerprint();
         let mut stats = match resume {
             Some(ckpt) => {
-                if ckpt.format_version < crate::checkpoint::FORMAT_VERSION {
-                    // Version-1 files recorded the legacy fingerprint,
-                    // which does not cover a sampling-measure change —
-                    // it cannot attest that the old groups were drawn
-                    // under this run's tilt, so only an unbiased resume
-                    // is sound.
-                    if !self.bias.is_unbiased() {
-                        return Err(CheckpointError::ConfigMismatch {
-                            field: "bias",
-                            reason: format!(
-                                "checkpoint is format version {} (pre-importance-sampling) \
-                                 and can only resume an unbiased run; requested {:?}",
-                                ckpt.format_version, self.bias
-                            ),
-                        });
-                    }
-                    let legacy = legacy_config_fingerprint_v1(&self.cfg, self.engine.name());
-                    ckpt.validate_for(legacy, &driver)?;
-                } else {
-                    ckpt.validate_for(fingerprint, &driver)?;
-                }
+                ckpt.validate_for(fingerprint, &driver)?;
                 if ckpt.stats.mission_hours() != self.cfg.mission_hours {
                     return Err(CheckpointError::ConfigMismatch {
                         field: "mission",

@@ -69,9 +69,6 @@ const DOWNTIME_TICKS_PER_HOUR: f64 = 4_294_967_296.0;
 /// quantizes to exactly 2³² ticks.
 const WEIGHT_TICKS_PER_UNIT: f64 = 4_294_967_296.0;
 
-/// `WEIGHT_TICKS_PER_UNIT` as the exact integer 2³².
-const WEIGHT_TICKS: u128 = 1 << 32;
-
 /// Adds with overflow detection: a weighted accumulator that wraps
 /// would silently corrupt every downstream estimate, so it aborts the
 /// run instead (checkpoints preserve the work up to the last batch).
@@ -764,24 +761,6 @@ impl StreamStats {
     /// histogram totals inconsistent with the DDF sum, mean square
     /// below the squared mean).
     pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        Self::decode_version(bytes, crate::checkpoint::FORMAT_VERSION)
-    }
-
-    /// Decodes the layout a given checkpoint format version wrote (see
-    /// [`crate::checkpoint::FORMAT_VERSION`]).
-    ///
-    /// Version 1 predates importance weighting: every group had weight
-    /// exactly 1, whose 2⁻³² quantization is exactly 2³² ticks, so the
-    /// weighted sums are pure integer functions of the plain ones and
-    /// are reconstructed here **exactly** as a version-1 run would have
-    /// accumulated them — resuming an old checkpoint stays bit-identical
-    /// to a run that never stopped.
-    ///
-    /// # Errors
-    ///
-    /// As [`StreamStats::decode`], plus unknown versions and version-1
-    /// moments too large for the exact weighted reconstruction.
-    pub fn decode_version(bytes: &[u8], version: u32) -> Result<Self, String> {
         let mut r = Decoder { bytes, pos: 0 };
         let mission_hours = f64::from_bits(r.u64()?);
         if !mission_hours.is_finite() || mission_hours <= 0.0 {
@@ -797,27 +776,11 @@ impl StreamStats {
         let scrubs_completed = r.u64()?;
         let restores_completed = r.u64()?;
         let downtime_ticks = r.u128()?;
-        let (weight_ticks, weight_sq_ticks, wddf_ticks, wddf_sq_ticks, wddf_prod_sq_ticks) =
-            match version {
-                2 => (r.u128()?, r.u128()?, r.u128()?, r.u128()?, r.u128()?),
-                1 => {
-                    let upgrade = |x: u128, ticks: u128| {
-                        x.checked_mul(ticks).ok_or_else(|| {
-                            "version-1 squared moment too large to upgrade".to_string()
-                        })
-                    };
-                    (
-                        u128::from(groups) << 32,
-                        u128::from(groups) << 64,
-                        u128::from(ddf_sum) << 32,
-                        upgrade(ddf_sum_sq, WEIGHT_TICKS)?,
-                        upgrade(ddf_sum_sq, WEIGHT_TICKS * WEIGHT_TICKS)?,
-                    )
-                }
-                other => {
-                    return Err(format!("unsupported statistics format version {other}"));
-                }
-            };
+        let weight_ticks = r.u128()?;
+        let weight_sq_ticks = r.u128()?;
+        let wddf_ticks = r.u128()?;
+        let wddf_sq_ticks = r.u128()?;
+        let wddf_prod_sq_ticks = r.u128()?;
         let bin_count = r.u64()?;
         if bin_count == 0 {
             return Err("histogram has zero bins".into());
@@ -1254,28 +1217,6 @@ mod tests {
         s.encode_into(&mut bytes);
         let back = StreamStats::decode(&bytes).unwrap();
         assert_eq!(back, s);
-    }
-
-    #[test]
-    fn version_1_bytes_decode_as_exact_unit_weights() {
-        let mut s = StreamStats::with_bins(1_000.0, 16);
-        for i in 0..12 {
-            s.push(&history(&[i as f64 * 80.0 + 3.0], 0.7 * i as f64));
-        }
-        let mut v2 = Vec::new();
-        s.encode_into(&mut v2);
-        // A version-1 encoding is the version-2 one minus the five
-        // weighted u128 fields, which sit between `downtime_ticks`
-        // (ends at byte 104) and the histogram length prefix.
-        let mut v1 = v2.clone();
-        v1.drain(104..184);
-        let back = StreamStats::decode_version(&v1, 1).unwrap();
-        // The weight-1 reconstruction is exact, so the upgraded state
-        // equals the natively accumulated one bit for bit.
-        assert_eq!(back, s);
-        assert!(StreamStats::decode_version(&v1, 3)
-            .unwrap_err()
-            .contains("version"));
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Importance-sampling guarantees end to end: the hazard-tilted
 //! estimator is unbiased (its confidence interval covers the plain
 //! estimator), biased runs checkpoint and resume bit-identically at
-//! any thread count, and version-1 (pre-importance-sampling)
-//! checkpoints resume unbiased runs exactly but refuse biased ones.
+//! any thread count, and snapshots whose groups another sampler drew
+//! — version-1 files, and version-2 files from before the sampler
+//! version entered the fingerprint — are refused with typed errors.
 
-use raidsim_core::checkpoint::{
-    legacy_config_fingerprint_v1, CheckpointError, DriverState, SimCheckpoint,
-};
+use raidsim_core::checkpoint::{CheckpointError, DriverState, SimCheckpoint, FORMAT_VERSION};
 use raidsim_core::config::RaidGroupConfig;
 use raidsim_core::engine::BiasPolicy;
 use raidsim_core::run::{CheckpointPlan, EveryGroups, RunControl, Simulator};
@@ -168,28 +167,27 @@ fn biased_kill_and_resume_is_bit_identical() {
     }
 }
 
-/// Version-1 checkpoints carry no bias attestation: an unbiased run
-/// resumes from one bit-identically (the weight-1 upgrade is exact),
-/// while a biased run is refused with a typed error instead of
-/// silently mixing measures.
-#[test]
-fn version_1_checkpoints_resume_unbiased_but_refuse_bias() {
-    let cfg = base();
-    let sim = Simulator::new(cfg.clone());
-    let driver = DriverState::fixed(90, 30, 11);
-    let reference = sim.run_streaming(90, 11, 2);
+/// FNV-1a 64, the checkpoint module's fingerprint and checksum hash.
+fn fnv1a(parts: &[&[u8]]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for part in parts {
+        for &b in *part {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
 
-    // Produce a real mid-run checkpoint, then rewrite it as a
-    // version-1 artifact: version-1 files carry the legacy fingerprint
-    // and (once decoded) exact weight-1 moments — which is precisely
-    // the state this unbiased run has.
-    let path = temp_ckpt("v1_resume.ckpt");
+/// Interrupts `sim` after its first batch and returns the snapshot it
+/// left at `path`.
+fn interrupted_checkpoint(sim: &Simulator, driver: DriverState, path: &PathBuf) -> SimCheckpoint {
     let control = InterruptAfter::new(1);
     let mut cadence = EveryGroups(1);
     let mut store = FsStore;
     let mut backoff = AttemptBudget(1);
     let plan = CheckpointPlan {
-        path: &path,
+        path,
         cadence: &mut cadence,
         store: &mut store,
         backoff: &mut backoff,
@@ -197,26 +195,94 @@ fn version_1_checkpoints_resume_unbiased_but_refuse_bias() {
     };
     sim.run_checkpointed(driver, 2, &(), &control, Some(plan), None)
         .unwrap();
-    let mut ckpt = SimCheckpoint::load(&path).unwrap();
-    assert!(ckpt.groups_done() < 90, "the interrupt must land mid-run");
-    ckpt.format_version = 1;
-    ckpt.fingerprint = legacy_config_fingerprint_v1(&cfg, "discrete-event");
+    let ckpt = SimCheckpoint::load(path).unwrap();
+    assert!(
+        ckpt.groups_done() < driver.max_groups,
+        "the interrupt must land mid-run"
+    );
+    ckpt
+}
 
-    // A biased resume is refused with a typed error naming the field.
-    let biased = Simulator::new(cfg).with_bias(BiasPolicy::HazardTilt {
+/// Version-1 files predate both importance weighting and the sampler
+/// version, so nothing in them attests which draws produced their
+/// groups: loading one is a typed version refusal, before any resume
+/// logic runs.
+#[test]
+fn version_1_checkpoints_are_refused_as_version_mismatch() {
+    let sim = Simulator::new(base());
+    let driver = DriverState::fixed(90, 30, 11);
+    let path = temp_ckpt("v1_refused.ckpt");
+    let ckpt = interrupted_checkpoint(&sim, driver, &path);
+
+    // Rewrite the snapshot in the version-1 layout: the five weighted
+    // u128 stats fields dropped, version, length and checksum
+    // re-stamped.
+    let mut bytes = ckpt.to_bytes();
+    let stats_start = 20 + 8 + 41 + 8; // header, fingerprint, driver, groups_done
+    bytes.drain(stats_start + 104..stats_start + 184);
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let payload_len = (bytes.len() - 28) as u64;
+    bytes[12..20].copy_from_slice(&payload_len.to_le_bytes());
+    let n = bytes.len();
+    let sum = fnv1a(&[&bytes[..n - 8]]);
+    bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    assert_eq!(
+        SimCheckpoint::load(&path),
+        Err(CheckpointError::VersionMismatch {
+            found: 1,
+            expected: FORMAT_VERSION
+        })
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+/// A version-2 snapshot written before the sampler version entered the
+/// fingerprint parses fine, but its groups were drawn by the previous
+/// sampler: resuming it would mix two samplers' draws in one estimate.
+/// The resume is refused with a typed mismatch whose message names the
+/// sampler version, for unbiased and biased runs alike. The `assert_ne`
+/// on the recomputed pre-change fingerprint is what pins the hashing;
+/// the refusal would follow from any fingerprint difference.
+#[test]
+fn pre_sampler_change_checkpoints_are_refused_naming_the_sampler() {
+    let tilt = BiasPolicy::HazardTilt {
         op_theta: 1.0,
         latent_theta: 0.0,
-    });
-    match biased.run_checkpointed(driver, 2, &(), &(), None, Some(ckpt.clone())) {
-        Err(CheckpointError::ConfigMismatch { field: "bias", .. }) => {}
-        other => panic!("expected a bias refusal, got {other:?}"),
-    }
+    };
+    for bias in [BiasPolicy::None, tilt] {
+        let cfg = base();
+        let sim = Simulator::new(cfg.clone()).with_bias(bias);
+        let driver = DriverState::fixed(90, 30, 11);
+        let path = temp_ckpt("pre_sampler_refused.ckpt");
+        let mut ckpt = interrupted_checkpoint(&sim, driver, &path);
 
-    // The unbiased resume completes bit-identically to an
-    // uninterrupted run.
-    let (stats, _) = sim
-        .run_checkpointed(driver, 3, &(), &(), None, Some(ckpt))
-        .unwrap();
-    assert_eq!(stats, reference);
-    std::fs::remove_file(&path).ok();
+        // The fingerprint a build before sampler version 2 recorded for
+        // this very run: the same hash without the sampler version.
+        let old = fnv1a(&[
+            &FORMAT_VERSION.to_le_bytes(),
+            b"discrete-event\0",
+            format!("{cfg:?}").as_bytes(),
+            b"\0",
+            format!("{bias:?}").as_bytes(),
+        ]);
+        assert_ne!(
+            old,
+            sim.run_fingerprint(),
+            "the run fingerprint must cover the sampler version"
+        );
+        ckpt.fingerprint = old;
+        ckpt.save(&path).unwrap();
+        let stale = SimCheckpoint::load(&path).unwrap();
+
+        match sim.run_checkpointed(driver, 2, &(), &(), None, Some(stale)) {
+            Err(CheckpointError::ConfigMismatch {
+                field: "config",
+                reason,
+            }) => assert!(reason.contains("sampler version"), "{reason}"),
+            other => panic!("{bias:?}: expected a sampler refusal, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }

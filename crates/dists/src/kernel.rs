@@ -19,25 +19,49 @@
 //! restricts the allowed transformations to:
 //!
 //! * hoisting pure recomputed subexpressions (`1/β` feeds the same
-//!   `powf` it always did — division is deterministic, so the hoisted
-//!   value is the bit pattern the `dyn` path computed inline),
+//!   root it always did — division is deterministic, so the hoisted
+//!   value is the bit pattern the `dyn` path computes inline), and
 //! * inlining the exact float-op sequence of the concrete overrides
 //!   (including each family's choice of `ln_1p` vs `ln`, and the
 //!   trait-default conditional inversion where a family does not
-//!   override it) — for the Weibull family both paths call the same
-//!   `#[inline]` helpers, so they agree by construction, and
-//! * the **unit-shape identity**: `powf(x, 1.0)` is replaced by `x`
-//!   (β = 1, the paper's latent-defect shape). This is exact, not a
-//!   rewrite: `x¹ = x` is representable, and `pow` (glibc: error
-//!   ≤ 0.52 ULP) can therefore only return `x` itself, because every
-//!   other double lies a full ULP away. Both paths take the identity,
-//!   and a unit test pins the libm property over edge values and 10⁶
-//!   seeded uniforms.
+//!   override it).
 //!
-//! Algebraic rewrites that change the op sequence — e.g. `sqrt` in
-//! place of `powf(0.5)` for β = 2 — are **excluded**: they are faster
-//! but not bit-equal. The `kernel_equivalence` property suite enforces
-//! the contract for every variant over random parameters and seeds.
+//! For the Weibull family the kernel and the `dyn` overrides
+//! (`Weibull3::sample`, `Weibull3::sample_conditional`) share one
+//! **cumulative-hazard sampler**, the `#[inline]` helpers in
+//! `weibull.rs`, so they agree by construction. With
+//! `H(t) = ((t − γ)/η)^β` and an `Exp(1)` variate `E`, every draw form
+//! is an inversion `H⁻¹(h) = γ + η·h^(1/β)`:
+//!
+//! * plain: `H⁻¹(E)`;
+//! * conditional at age `t0`: `H⁻¹(H(t0) + E) − t0`, which stays a
+//!   proper residual where `F(t0)` rounds to 1 or `S(t0)` underflows;
+//! * forced: the window mass is `q = 1 − exp(−(H(t0 + w) − H(t0)))`,
+//!   then the conditional inversion of the warped variate.
+//!
+//! `E` is `−ln(1 − u)` for the uniforms `rng_f64` produces. Those are
+//! `u = k·2⁻⁵³`, so `1 − u = (2⁵³ − k)·2⁻⁵³` is exact and `ln` loses
+//! nothing to `ln_1p`, at about half the cost. The warped variates of
+//! [`Tilt`] and [`Forcing`] are off that grid and keep `−ln_1p(−v)`;
+//! a block caller that warps its own uniforms hands them to
+//! [`SampleKernel::samples_from_warped`], not
+//! [`SampleKernel::samples_from_uniforms`], for the same reason.
+//! The root `h^(1/β)` is `h` itself for β = 1 and `exp(inv_β·ln h)`
+//! otherwise, a few ULPs from `powf` and markedly cheaper. The public
+//! `quantile`/`cdf`/`sf` keep `ln_1p` and `powf`: they take arbitrary
+//! `p`, where `1 − p` can round.
+//!
+//! Every change to what a draw produces bumps
+//! [`crate::SAMPLER_VERSION`], which run fingerprints hash, so
+//! checkpoints and cached results never mix two samplers' draws; a
+//! conformance suite (`tests/sampling_conformance.rs`) checks each draw
+//! form against the closed forms and pins the first draws per shape.
+//!
+//! Algebraic rewrites of the root — `sqrt` for `inv_β = 0.5`, squaring
+//! for `inv_β = 2` — are **excluded** from the exact path: they are
+//! faster but not bit-equal, so only [`MathMode::Fast`] takes them.
+//! The `kernel_equivalence` property suite enforces the contract for
+//! every variant over random parameters and seeds.
 //!
 //! The draw methods take the concrete [`SimRng`] rather than
 //! `&mut dyn Rng`, so the word draw inlines into the kernel; the
@@ -49,7 +73,7 @@
 //!
 //! | `dyn` implementation | kernel variant | notes |
 //! |---|---|---|
-//! | [`crate::Weibull3`] | [`SampleKernel::Weibull3`] | `1/β` precomputed; `sf`/`cdf`/`quantile` are the helpers the overrides call; conditional inlines the trait default over them |
+//! | [`crate::Weibull3`] | [`SampleKernel::Weibull3`] | `1/β` precomputed; every draw form calls the cumulative-hazard helpers the overrides call |
 //! | [`crate::Exponential`] | [`SampleKernel::Exponential`] | conditional is memoryless, matching the override |
 //! | [`crate::Lognormal`] | [`SampleKernel::Lognormal`] | conditional inlines the trait default (`sf` is the trait default `1 − cdf`) |
 //! | [`crate::Degenerate`] | [`SampleKernel::Degenerate`] | consumes **no** RNG draws, matching both overrides |
@@ -58,7 +82,10 @@
 //! | anything else | [`SampleKernel::Boxed`] | full fallback to the `dyn` methods (e.g. future empirical resampling distributions — [`crate::empirical`] currently defines estimators, not `LifeDistribution`s) |
 
 use crate::rng::SimRng;
-use crate::weibull::{weibull_cdf, weibull_quantile, weibull_sf};
+use crate::weibull::{
+    exp1_from_grid, exp1_from_warped, weibull_inv_cum_hazard, weibull_live_hazard,
+    weibull_residual, weibull_window_mass,
+};
 use crate::{rng_f64, DistError, LifeDistribution};
 use std::sync::Arc;
 
@@ -67,7 +94,8 @@ use std::sync::Arc;
 ///
 /// Instead of a plain uniform `u ∈ [0, 1)`, a tilted draw samples
 /// `v ∈ [0, 1)` from the density `g(v) = θ·e^{−θv} / (1 − e^{−θ})` and
-/// feeds `v` to the *same* quantile evaluation. For `θ > 0` the mass
+/// feeds `v` to the *same* inverse transform (for the Weibull kernel,
+/// through the off-grid `Exp(1)` image `−ln_1p(−v)`). For `θ > 0` the mass
 /// shifts toward 0, so lifetimes come out *earlier* (every provided
 /// quantile path is non-decreasing in its uniform argument); `θ < 0`
 /// shifts toward 1. Each tilted draw contributes
@@ -208,11 +236,11 @@ impl Forcing {
 /// Numerical-evaluation mode for the block sampling paths.
 ///
 /// [`MathMode::Exact`] keeps every block draw bit-identical to the
-/// scalar path — the default everywhere; it already includes the
-/// bit-exact unit-shape identity (`powf(x, 1.0)` → `x`, see the module
-/// docs). [`MathMode::Fast`] permits algebraic rewrites that change the
-/// float-op sequence (`sqrt` for `powf(0.5)`, squaring for
-/// `powf(2.0)`), trading bit-identity for throughput; the relative
+/// scalar path — the default everywhere; its Weibull root `h^(1/β)` is
+/// `h` for β = 1 and `exp(inv_β·ln h)` otherwise (see the module
+/// docs). [`MathMode::Fast`] permits algebraic rewrites of that root
+/// (`sqrt(h)` for `inv_β = 0.5`, `h·h` for `inv_β = 2`), trading
+/// bit-identity for throughput; the relative
 /// error per draw is bounded by a few ULPs (the equivalence suite
 /// enforces `< 1e-12` relative). Fast mode is opt-in (the CLI's
 /// `--fast-math`) and perturbs checkpoint fingerprints so exact and
@@ -222,7 +250,7 @@ pub enum MathMode {
     /// Bit-identical float-op sequences — the block-draw contract.
     #[default]
     Exact,
-    /// Allow exponent-specializing rewrites of `powf`; results agree
+    /// Allow exponent-specializing rewrites of the root; results agree
     /// with [`MathMode::Exact`] to within documented tolerance, not
     /// bit-for-bit.
     Fast,
@@ -247,17 +275,17 @@ pub enum MathMode {
 /// property suite.
 #[derive(Debug, Clone)]
 pub enum SampleKernel {
-    /// Inlined three-parameter Weibull inverse CDF with `1/β`
-    /// precomputed.
+    /// Inlined three-parameter Weibull cumulative-hazard sampler with
+    /// `1/β` precomputed.
     Weibull3 {
         /// Location γ, hours.
         gamma: f64,
         /// Scale η, hours.
         eta: f64,
-        /// Shape β (needed by the conditional path's `sf`/`cdf`).
+        /// Shape β (needed by the conditional paths' `H(t0)`).
         beta: f64,
-        /// Hoisted `1.0 / β`, exactly the value the `dyn` quantile
-        /// computes inline on every call.
+        /// Hoisted `1.0 / β`, exactly the value the `dyn` overrides
+        /// compute inline on every call.
         inv_beta: f64,
     },
     /// Inlined exponential inverse CDF; the conditional draw is
@@ -339,8 +367,8 @@ impl SampleKernel {
                 inv_beta,
                 ..
             } => {
-                let u = rng_f64(rng);
-                weibull_quantile(*gamma, *eta, *inv_beta, u, MathMode::Exact)
+                let e = exp1_from_grid(rng_f64(rng));
+                weibull_inv_cum_hazard(*gamma, *eta, *inv_beta, e, MathMode::Exact)
             }
             SampleKernel::Exponential { rate } => {
                 let u = rng_f64(rng);
@@ -386,15 +414,12 @@ impl SampleKernel {
                 beta,
                 inv_beta,
             } => {
-                // The trait-default conditional inversion over the
-                // Weibull sf/cdf/quantile overrides.
-                let s0 = weibull_sf(*gamma, *eta, *beta, t0);
-                if s0 <= 0.0 {
+                // `H⁻¹(H(t0) + E) − t0`, exactly as the override does.
+                let Some(h0) = weibull_live_hazard(*gamma, *eta, *beta, t0) else {
                     return 0.0;
-                }
-                let u = rng_f64(rng);
-                let p = weibull_cdf(*gamma, *eta, *beta, t0) + u * s0;
-                (weibull_quantile(*gamma, *eta, *inv_beta, p, MathMode::Exact) - t0).max(0.0)
+                };
+                let e = exp1_from_grid(rng_f64(rng));
+                weibull_residual(*gamma, *eta, *inv_beta, t0, h0 + e, MathMode::Exact)
             }
             SampleKernel::Exponential { rate } => {
                 // Memorylessness, matching the dyn override.
@@ -427,9 +452,9 @@ impl SampleKernel {
     /// Draws one lifetime under the tilted measure, accumulating the
     /// draw's log-likelihood-ratio into `log_weight`.
     ///
-    /// The tilt warps the uniform variate (see [`Tilt`]) and evaluates
-    /// the *same* quantile float-op sequence as [`SampleKernel::sample`],
-    /// so the change of measure is exactly the warp's density ratio:
+    /// The tilt warps the uniform variate (see [`Tilt`]) and feeds it to
+    /// the same inverse transform as [`SampleKernel::sample`], so the
+    /// change of measure is exactly the warp's density ratio:
     ///
     /// * quantile families (`Weibull3`, `Exponential`, `Lognormal`)
     ///   warp their single uniform;
@@ -452,7 +477,13 @@ impl SampleKernel {
             } => {
                 let (v, lw) = tilt.warp(rng_f64(rng));
                 *log_weight += lw;
-                weibull_quantile(*gamma, *eta, *inv_beta, v, MathMode::Exact)
+                weibull_inv_cum_hazard(
+                    *gamma,
+                    *eta,
+                    *inv_beta,
+                    exp1_from_warped(v),
+                    MathMode::Exact,
+                )
             }
             SampleKernel::Exponential { rate } => {
                 let (v, lw) = tilt.warp(rng_f64(rng));
@@ -491,10 +522,11 @@ impl SampleKernel {
     /// the tilted measure, accumulating the draw's log-likelihood-ratio
     /// into `log_weight`.
     ///
-    /// The conditional inversion maps its uniform through
-    /// `p = F(t0) + u·S(t0)`, which is strictly increasing in `u`, so
-    /// tilting the uniform tilts the conditional distribution with the
-    /// identical density ratio as [`Tilt::warp`]. Composite and boxed
+    /// The conditional inversion is strictly increasing in its uniform
+    /// (for the Weibull kernel, `H⁻¹(H(t0) − ln(1 − u))`, the quantile
+    /// of `p = F(t0) + u·S(t0)`), so tilting the uniform tilts the
+    /// conditional distribution with the identical density ratio as
+    /// [`Tilt::warp`]. Composite and boxed
     /// kernels fall back to the untilted `dyn` conditional (ratio 1),
     /// mirroring [`SampleKernel::sample_conditional`].
     pub fn sample_conditional_tilted(
@@ -511,14 +543,13 @@ impl SampleKernel {
                 beta,
                 inv_beta,
             } => {
-                let s0 = weibull_sf(*gamma, *eta, *beta, t0);
-                if s0 <= 0.0 {
+                let Some(h0) = weibull_live_hazard(*gamma, *eta, *beta, t0) else {
                     return 0.0;
-                }
+                };
                 let (v, lw) = tilt.warp(rng_f64(rng));
                 *log_weight += lw;
-                let p = weibull_cdf(*gamma, *eta, *beta, t0) + v * s0;
-                (weibull_quantile(*gamma, *eta, *inv_beta, p, MathMode::Exact) - t0).max(0.0)
+                let h = h0 + exp1_from_warped(v);
+                weibull_residual(*gamma, *eta, *inv_beta, t0, h, MathMode::Exact)
             }
             SampleKernel::Exponential { rate } => {
                 let (v, lw) = tilt.warp(rng_f64(rng));
@@ -550,7 +581,8 @@ impl SampleKernel {
     ///
     /// The window mass is `q = (F(t0 + window) − F(t0)) / S(t0)` — the
     /// conditional probability the residual lifetime ends inside the
-    /// window — and the forcing warps the conditional uniform exactly
+    /// window, for the Weibull kernel `1 − exp(−(H(t0 + window) − H(t0)))`
+    /// — and the forcing warps the conditional uniform exactly
     /// as [`Forcing::warp`], so the measure change is the warp's
     /// two-valued density ratio. Degenerate cases (dead mass at `t0`,
     /// empty or full windows, point masses) apply no measure change;
@@ -572,16 +604,14 @@ impl SampleKernel {
                 beta,
                 inv_beta,
             } => {
-                let s0 = weibull_sf(*gamma, *eta, *beta, t0);
-                if s0 <= 0.0 {
+                let Some(h0) = weibull_live_hazard(*gamma, *eta, *beta, t0) else {
                     return 0.0;
-                }
-                let f0 = weibull_cdf(*gamma, *eta, *beta, t0);
-                let q = (weibull_cdf(*gamma, *eta, *beta, t0 + window) - f0) / s0;
+                };
+                let q = weibull_window_mass(*gamma, *eta, *beta, t0, window, h0);
                 let (v, lw) = forcing.warp(rng_f64(rng), q);
                 *log_weight += lw;
-                let p = f0 + v * s0;
-                (weibull_quantile(*gamma, *eta, *inv_beta, p, MathMode::Exact) - t0).max(0.0)
+                let h = h0 + exp1_from_warped(v);
+                weibull_residual(*gamma, *eta, *inv_beta, t0, h, MathMode::Exact)
             }
             SampleKernel::Exponential { rate } => {
                 // Memorylessness: the residual is Exponential(rate) and
@@ -654,7 +684,7 @@ impl SampleKernel {
                 ..
             } => {
                 for u in us.iter_mut() {
-                    *u = weibull_quantile(*gamma, *eta, *inv_beta, *u, mode);
+                    *u = weibull_inv_cum_hazard(*gamma, *eta, *inv_beta, exp1_from_grid(*u), mode);
                 }
             }
             SampleKernel::Exponential { rate } => {
@@ -675,6 +705,38 @@ impl SampleKernel {
                  (no fixed uniform-to-sample transform)",
                 self.variant_name()
             ),
+        }
+    }
+
+    /// Transforms a buffer of **warped** uniforms (the `v` of
+    /// [`Tilt::warp`]) into lifetimes in place. Element `i` of the output
+    /// is exactly what [`SampleKernel::sample_tilted`] would have
+    /// produced from a draw whose warp returned `vs[i]` (under
+    /// [`MathMode::Exact`], bit-for-bit).
+    ///
+    /// Warped variates are off the `rng_f64` grid, so the Weibull arm
+    /// takes its `Exp(1)` variate as `−ln_1p(−v)` rather than the grid
+    /// form `−ln(1 − u)` of [`SampleKernel::samples_from_uniforms`];
+    /// every other family shares that method's transform.
+    ///
+    /// # Panics
+    ///
+    /// Panics on composite or boxed kernels, like
+    /// [`SampleKernel::samples_from_uniforms`].
+    pub fn samples_from_warped(&self, mode: MathMode, vs: &mut [f64]) {
+        match self {
+            SampleKernel::Weibull3 {
+                gamma,
+                eta,
+                inv_beta,
+                ..
+            } => {
+                for v in vs.iter_mut() {
+                    *v =
+                        weibull_inv_cum_hazard(*gamma, *eta, *inv_beta, exp1_from_warped(*v), mode);
+                }
+            }
+            _ => self.samples_from_uniforms(mode, vs),
         }
     }
 
@@ -704,9 +766,9 @@ impl SampleKernel {
 
     /// Fills `out` with residual lifetimes conditional on survival to
     /// `t0`; equivalent to calling [`SampleKernel::sample_conditional`]
-    /// once per element, with the per-call invariants (`S(t0)`,
-    /// `F(t0)`) hoisted once per block. Under [`MathMode::Exact`] the
-    /// block is bit-identical to the scalar loop.
+    /// once per element, with the per-call invariants (`H(t0)`, or
+    /// `S(t0)` and `F(t0)`) hoisted once per block. Under
+    /// [`MathMode::Exact`] the block is bit-identical to the scalar loop.
     pub fn sample_conditional_block(
         &self,
         mode: MathMode,
@@ -721,18 +783,16 @@ impl SampleKernel {
                 beta,
                 inv_beta,
             } => {
-                let s0 = weibull_sf(*gamma, *eta, *beta, t0);
-                if s0 <= 0.0 {
+                let Some(h0) = weibull_live_hazard(*gamma, *eta, *beta, t0) else {
                     // The scalar path returns 0.0 without consuming a
                     // word; replicate that for every element.
                     out.fill(0.0);
                     return;
-                }
-                let f0 = weibull_cdf(*gamma, *eta, *beta, t0);
+                };
                 crate::rng::fill_uniforms(rng, out);
                 for u in out.iter_mut() {
-                    let p = f0 + *u * s0;
-                    *u = (weibull_quantile(*gamma, *eta, *inv_beta, p, mode) - t0).max(0.0);
+                    let h = h0 + exp1_from_grid(*u);
+                    *u = weibull_residual(*gamma, *eta, *inv_beta, t0, h, mode);
                 }
             }
             SampleKernel::Exponential { rate } => {
@@ -790,7 +850,7 @@ impl SampleKernel {
                     *log_weight += lw;
                     *u = v;
                 }
-                self.samples_from_uniforms(mode, out);
+                self.samples_from_warped(mode, out);
             }
             SampleKernel::Degenerate { value } => out.fill(*value),
             SampleKernel::Mixture { .. } | SampleKernel::Competing { .. } => {
@@ -808,8 +868,8 @@ impl SampleKernel {
 
     /// Fills `out` with tilted conditional draws; equivalent to calling
     /// [`SampleKernel::sample_conditional_tilted`] once per element,
-    /// with `S(t0)`/`F(t0)` hoisted once per block. Bit-identical to
-    /// the scalar loop under [`MathMode::Exact`].
+    /// with `H(t0)` (or `S(t0)`/`F(t0)`) hoisted once per block.
+    /// Bit-identical to the scalar loop under [`MathMode::Exact`].
     pub fn sample_conditional_tilted_block(
         &self,
         mode: MathMode,
@@ -826,18 +886,16 @@ impl SampleKernel {
                 beta,
                 inv_beta,
             } => {
-                let s0 = weibull_sf(*gamma, *eta, *beta, t0);
-                if s0 <= 0.0 {
+                let Some(h0) = weibull_live_hazard(*gamma, *eta, *beta, t0) else {
                     out.fill(0.0);
                     return;
-                }
-                let f0 = weibull_cdf(*gamma, *eta, *beta, t0);
+                };
                 crate::rng::fill_uniforms(rng, out);
                 for u in out.iter_mut() {
                     let (v, lw) = tilt.warp(*u);
                     *log_weight += lw;
-                    let p = f0 + v * s0;
-                    *u = (weibull_quantile(*gamma, *eta, *inv_beta, p, mode) - t0).max(0.0);
+                    let h = h0 + exp1_from_warped(v);
+                    *u = weibull_residual(*gamma, *eta, *inv_beta, t0, h, mode);
                 }
             }
             SampleKernel::Exponential { rate } => {
@@ -876,7 +934,8 @@ impl SampleKernel {
 
     /// Fills `out` with forced conditional draws; equivalent to calling
     /// [`SampleKernel::sample_conditional_forced`] once per element,
-    /// with `S(t0)`/`F(t0)`/window mass `q` hoisted once per block.
+    /// with `H(t0)` (or `S(t0)`/`F(t0)`) and the window mass `q` hoisted
+    /// once per block.
     /// Bit-identical to the scalar loop under [`MathMode::Exact`].
     // Mirrors `sample_conditional_forced` plus the block mode/buffer;
     // bundling the forcing args would diverge the two signatures.
@@ -898,19 +957,17 @@ impl SampleKernel {
                 beta,
                 inv_beta,
             } => {
-                let s0 = weibull_sf(*gamma, *eta, *beta, t0);
-                if s0 <= 0.0 {
+                let Some(h0) = weibull_live_hazard(*gamma, *eta, *beta, t0) else {
                     out.fill(0.0);
                     return;
-                }
-                let f0 = weibull_cdf(*gamma, *eta, *beta, t0);
-                let q = (weibull_cdf(*gamma, *eta, *beta, t0 + window) - f0) / s0;
+                };
+                let q = weibull_window_mass(*gamma, *eta, *beta, t0, window, h0);
                 crate::rng::fill_uniforms(rng, out);
                 for u in out.iter_mut() {
                     let (v, lw) = forcing.warp(*u, q);
                     *log_weight += lw;
-                    let p = f0 + v * s0;
-                    *u = (weibull_quantile(*gamma, *eta, *inv_beta, p, mode) - t0).max(0.0);
+                    let h = h0 + exp1_from_warped(v);
+                    *u = weibull_residual(*gamma, *eta, *inv_beta, t0, h, mode);
                 }
             }
             SampleKernel::Exponential { rate } => {
@@ -950,37 +1007,6 @@ impl SampleKernel {
     }
 }
 
-/// `x.powf(e)` in the given evaluation mode.
-///
-/// [`MathMode::Exact`] skips the call when `e` is exactly `1.0` and
-/// returns `x`: that is the unit-shape identity, which is bit-exact
-/// (see the module docs), so it is part of the exact contract rather
-/// than a fast-math rewrite. [`MathMode::Fast`] additionally
-/// specializes the exponents with a cheaper algebraic form (`0.5` →
-/// `sqrt`, `2.0` → square), which changes the float-op sequence and is
-/// therefore only reachable through the opt-in fast-math paths.
-#[inline]
-pub(crate) fn powf_mode(x: f64, e: f64, mode: MathMode) -> f64 {
-    match mode {
-        MathMode::Exact => {
-            if e == 1.0 {
-                x
-            } else {
-                x.powf(e)
-            }
-        }
-        MathMode::Fast => {
-            if e == 0.5 {
-                x.sqrt()
-            } else if e == 2.0 {
-                x * x
-            } else {
-                powf_mode(x, e, MathMode::Exact)
-            }
-        }
-    }
-}
-
 /// The exact float-op sequence of `Lognormal::quantile`.
 #[inline]
 fn lognormal_quantile(gamma: f64, mu: f64, sigma: f64, p: f64) -> f64 {
@@ -1004,6 +1030,7 @@ fn lognormal_cdf(gamma: f64, mu: f64, sigma: f64, t: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::rng::stream;
+    use crate::weibull::powf_exact;
     use crate::{CompetingRisks, Degenerate, Exponential, Lognormal, Mixture, Weibull3};
 
     fn lowered(d: Arc<dyn LifeDistribution>) -> (Arc<dyn LifeDistribution>, SampleKernel) {
@@ -1034,13 +1061,13 @@ mod tests {
         edges.extend((-1074..=1023).map(|e| 2.0f64.powi(e)));
         for x in edges {
             assert!(same(x), "powf({x:e}, 1.0) is not {x:e}");
-            assert_eq!(powf_mode(x, 1.0, MathMode::Exact).to_bits(), x.to_bits());
+            assert_eq!(powf_exact(x, 1.0).to_bits(), x.to_bits());
         }
         let mut rng = stream(2_024, 0);
         for _ in 0..1_000_000 {
             let u = rng_f64(&mut rng);
-            // The uniform itself and the quantile's `powf` argument.
-            let e = -(-u).ln_1p();
+            // The uniform itself and the sampler's `Exp(1)` argument.
+            let e = -(1.0 - u).ln();
             assert!(same(u) && same(e), "powf(x, 1.0) moved x for u = {u:e}");
         }
     }
@@ -1201,11 +1228,22 @@ mod tests {
         }
     }
 
+    /// Relative closeness of a cumulative-hazard draw to the public
+    /// quantile of the same uniform: the two evaluate one function by
+    /// different transcendentals, so they agree to a few ULPs.
+    fn assert_near_quantile(x: f64, q: f64) {
+        assert!(
+            (x - q).abs() <= 1e-13 * q.abs().max(1e-300),
+            "draw {x} strays from the quantile {q}"
+        );
+    }
+
     #[test]
     fn tilted_draw_is_the_quantile_of_the_warped_uniform() {
         let tilt = Tilt::new(1.3).unwrap();
         let dists: Vec<Arc<dyn LifeDistribution>> = vec![
             Arc::new(Weibull3::new(6.0, 12.0, 2.0).unwrap()),
+            Arc::new(Weibull3::new(0.0, 9_259.0, 1.0).unwrap()),
             Arc::new(Exponential::new(1e-4).unwrap()),
             Arc::new(Lognormal::new(0.0, 2.0, 0.7).unwrap()),
         ];
@@ -1217,7 +1255,22 @@ mod tests {
                 let mut lw = 0.0;
                 let x = k.sample_tilted(tilt, &mut lw, &mut a);
                 let (v, want_lw) = tilt.warp(rng_f64(&mut b));
-                assert_eq!(x.to_bits(), d.quantile(v).to_bits());
+                let want = match k {
+                    // Weibull draws invert the cumulative hazard at the
+                    // warped variate's `Exp(1)` image.
+                    SampleKernel::Weibull3 {
+                        gamma,
+                        eta,
+                        inv_beta,
+                        ..
+                    } => {
+                        let h = exp1_from_warped(v);
+                        weibull_inv_cum_hazard(gamma, eta, inv_beta, h, MathMode::Exact)
+                    }
+                    _ => d.quantile(v),
+                };
+                assert_eq!(x.to_bits(), want.to_bits());
+                assert_near_quantile(x, d.quantile(v));
                 assert_eq!(lw.to_bits(), want_lw.to_bits());
             }
         }
@@ -1306,9 +1359,13 @@ mod tests {
             let mut lw = 0.0;
             let x = k.sample_conditional_tilted(t0, tilt, &mut lw, &mut a);
             let (v, want_lw) = tilt.warp(rng_f64(&mut b));
-            let p = d.cdf(t0) + v * (1.0 - d.cdf(t0));
-            let want = (d.quantile(p) - t0).max(0.0);
+            // `H(t0) + E` is the cumulative hazard at the conditional
+            // uniform `p = F(t0) + v·S(t0)`.
+            let h = d.cum_hazard(t0) + exp1_from_warped(v);
+            let want = weibull_residual(6.0, 12.0, 0.5, t0, h, MathMode::Exact);
             assert_eq!(x.to_bits(), want.to_bits());
+            let p = d.cdf(t0) + v * (1.0 - d.cdf(t0));
+            assert!((x - (d.quantile(p) - t0)).abs() <= 1e-12 * d.quantile(p));
             assert_eq!(lw.to_bits(), want_lw.to_bits());
         }
     }
@@ -1412,15 +1469,22 @@ mod tests {
         let window = 3.0;
         let mut a = stream(17, 4);
         let mut b = stream(17, 4);
+        let h0 = d.cum_hazard(t0);
+        // The window mass in hazard form is the conditional probability
+        // `(F(t0 + w) − F(t0)) / S(t0)`.
+        let q = -(-(d.cum_hazard(t0 + window) - h0)).exp_m1();
+        let f0 = d.cdf(t0);
+        let s0 = 1.0 - f0;
+        assert!((q - (d.cdf(t0 + window) - f0) / s0).abs() <= 1e-14);
         for _ in 0..64 {
             let mut lw = 0.0;
             let x = k.sample_conditional_forced(t0, window, forcing, &mut lw, &mut a);
-            let f0 = d.cdf(t0);
-            let s0 = 1.0 - f0;
-            let q = (d.cdf(t0 + window) - f0) / s0;
             let (v, want_lw) = forcing.warp(rng_f64(&mut b), q);
-            let want = (d.quantile(f0 + v * s0) - t0).max(0.0);
+            let h = h0 + exp1_from_warped(v);
+            let want = weibull_residual(6.0, 12.0, 0.5, t0, h, MathMode::Exact);
             assert_eq!(x.to_bits(), want.to_bits());
+            let p = f0 + v * s0;
+            assert!((x - (d.quantile(p) - t0)).abs() <= 1e-12 * d.quantile(p));
             assert_eq!(lw.to_bits(), want_lw.to_bits());
         }
     }

@@ -75,6 +75,16 @@ pub use weibull::Weibull3;
 
 use rand::Rng;
 
+/// Version of the sampler's draw semantics: which `f64` every draw
+/// method produces from a given RNG stream. Bump whenever any draw can
+/// change, even in the last bit. Run fingerprints hash it, so snapshots
+/// and cached results drawn by an older sampler are refused rather
+/// than mixed with new draws.
+///
+/// Version 2 moved every Weibull draw onto the cumulative-hazard
+/// sampler ([`kernel`] module docs); version 1 is every earlier build.
+pub const SAMPLER_VERSION: u32 = 2;
+
 /// A continuous, non-negative lifetime distribution.
 ///
 /// All times are in hours, matching the paper's units. Implementations

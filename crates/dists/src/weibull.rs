@@ -1,4 +1,4 @@
-use crate::kernel::{powf_mode, MathMode};
+use crate::kernel::MathMode;
 use crate::special::{weibull_mean, weibull_variance};
 use crate::{rng_f64, DistError, LifeDistribution, SampleKernel};
 use rand::Rng;
@@ -156,7 +156,7 @@ impl Weibull3 {
 
 impl LifeDistribution for Weibull3 {
     fn cdf(&self, t: f64) -> f64 {
-        weibull_cdf(self.gamma, self.eta, self.beta, t)
+        -(-self.cum_hazard(t)).exp_m1()
     }
 
     fn pdf(&self, t: f64) -> f64 {
@@ -177,7 +177,16 @@ impl LifeDistribution for Weibull3 {
     }
 
     fn quantile(&self, p: f64) -> f64 {
-        weibull_quantile(self.gamma, self.eta, 1.0 / self.beta, p, MathMode::Exact)
+        if p <= 0.0 {
+            return self.gamma;
+        }
+        assert!(p < 1.0, "quantile requires p in [0, 1), got {p}");
+        // ln(1 - p) via ln_1p(-p): the naive `(1.0 - p).ln()` rounds
+        // `1 - p` to 1.0 for p below ~1e-16 (the quantile collapses to
+        // gamma, so B-lives of ultra-reliable tails read as the location
+        // parameter) and loses relative precision for all small p. The
+        // sampler needs neither: its uniforms sit on the 2⁻⁵³ grid.
+        self.gamma + self.eta * powf_exact(-(-p).ln_1p(), 1.0 / self.beta)
     }
 
     fn mean(&self) -> f64 {
@@ -185,7 +194,7 @@ impl LifeDistribution for Weibull3 {
     }
 
     fn sf(&self, t: f64) -> f64 {
-        weibull_sf(self.gamma, self.eta, self.beta, t)
+        (-self.cum_hazard(t)).exp()
     }
 
     fn hazard(&self, t: f64) -> f64 {
@@ -204,14 +213,27 @@ impl LifeDistribution for Weibull3 {
     }
 
     fn cum_hazard(&self, t: f64) -> f64 {
-        self.z(t).powf(self.beta)
+        weibull_cum_hazard(self.gamma, self.eta, self.beta, t)
     }
 
     fn sample(&self, rng: &mut dyn Rng) -> f64 {
-        // Inverse transform; cheaper and exactly consistent with
-        // `quantile`, which the KS property test relies on.
-        let u = rng_f64(rng);
-        self.quantile(u)
+        let e = exp1_from_grid(rng_f64(rng));
+        weibull_inv_cum_hazard(self.gamma, self.eta, 1.0 / self.beta, e, MathMode::Exact)
+    }
+
+    fn sample_conditional(&self, t0: f64, rng: &mut dyn Rng) -> f64 {
+        let Some(h0) = weibull_live_hazard(self.gamma, self.eta, self.beta, t0) else {
+            return 0.0;
+        };
+        let e = exp1_from_grid(rng_f64(rng));
+        weibull_residual(
+            self.gamma,
+            self.eta,
+            1.0 / self.beta,
+            t0,
+            h0 + e,
+            MathMode::Exact,
+        )
     }
 
     fn lower_kernel(&self) -> Option<SampleKernel> {
@@ -224,45 +246,115 @@ impl LifeDistribution for Weibull3 {
     }
 }
 
-// The Weibull float-op sequences, shared by the `Weibull3` overrides
-// above and the `SampleKernel::Weibull3` kernel so the two paths agree
-// bit for bit by construction. Every `x^β` goes through `powf_mode`,
-// whose exact arm returns `x` unchanged for an exponent of exactly 1.
+// The Weibull sampler works in cumulative-hazard space. Every draw is
+// `H⁻¹(h)` of an argument built from one `Exp(1)` variate `E`: plain
+// draws invert `E`, conditional draws at age `t0` invert `H(t0) + E`.
+// The `Weibull3` overrides above and the `SampleKernel::Weibull3`
+// kernel call these same `#[inline]` helpers, so the two paths agree
+// bit for bit by construction.
 
-/// Quantile `γ + η·(−ln(1 − p))^(1/β)` with the reciprocal shape
-/// `inv_beta` passed in (the kernel hoists it; `quantile` computes it
-/// per call).
+/// `x^e`, returning `x` itself when `e` is exactly 1 — the unit-shape
+/// identity, which is bit-exact (see the `kernel` module docs), so it
+/// never moves a result.
 #[inline]
-pub(crate) fn weibull_quantile(gamma: f64, eta: f64, inv_beta: f64, p: f64, mode: MathMode) -> f64 {
-    if p <= 0.0 {
-        return gamma;
+pub(crate) fn powf_exact(x: f64, e: f64) -> f64 {
+    if e == 1.0 {
+        x
+    } else {
+        x.powf(e)
     }
-    assert!(p < 1.0, "quantile requires p in [0, 1), got {p}");
-    // ln(1 - p) via ln_1p(-p): the naive `(1.0 - p).ln()` rounds
-    // `1 - p` to 1.0 for p below ~1e-16 (the quantile collapses to
-    // gamma, so B-lives of ultra-reliable tails read as the location
-    // parameter) and loses relative precision for all small p.
-    gamma + eta * powf_mode(-(-p).ln_1p(), inv_beta, mode)
 }
 
-/// Survival function `exp(−((t − γ)/η)^β)`.
+/// Cumulative hazard `H(t) = ((t − γ)/η)^β`, zero at or below `γ`.
 #[inline]
-pub(crate) fn weibull_sf(gamma: f64, eta: f64, beta: f64, t: f64) -> f64 {
-    if t <= gamma {
-        return 1.0;
-    }
-    let z = ((t - gamma) / eta).max(0.0);
-    (-powf_mode(z, beta, MathMode::Exact)).exp()
-}
-
-/// CDF `1 − exp(−((t − γ)/η)^β)`, via `exp_m1` for the lower tail.
-#[inline]
-pub(crate) fn weibull_cdf(gamma: f64, eta: f64, beta: f64, t: f64) -> f64 {
+pub(crate) fn weibull_cum_hazard(gamma: f64, eta: f64, beta: f64, t: f64) -> f64 {
     if t <= gamma {
         return 0.0;
     }
-    let z = ((t - gamma) / eta).max(0.0);
-    -(-powf_mode(z, beta, MathMode::Exact)).exp_m1()
+    powf_exact((t - gamma) / eta, beta)
+}
+
+/// `H(t0)` at a conditioning age, or `None` when no mass survives `t0`
+/// (the hazard overflowed): a conditional draw then returns 0 without
+/// consuming an RNG word.
+#[inline]
+pub(crate) fn weibull_live_hazard(gamma: f64, eta: f64, beta: f64, t0: f64) -> Option<f64> {
+    let h0 = weibull_cum_hazard(gamma, eta, beta, t0);
+    (h0 < f64::INFINITY).then_some(h0)
+}
+
+/// Inverse cumulative hazard `H⁻¹(h) = γ + η·h^(1/β)`, with the
+/// reciprocal shape `inv_beta` passed in (the kernel hoists it; the
+/// `dyn` overrides compute it per call, to the same bits).
+///
+/// The root is `h` itself for β = 1 and `exp(inv_β·ln h)` otherwise:
+/// two transcendentals that together cost less than one `powf`, with a
+/// relative error of a few ULPs over the `h` a sampler produces.
+/// [`MathMode::Fast`] additionally takes `sqrt(h)` for `inv_β = 0.5`
+/// and `h·h` for `inv_β = 2`.
+#[inline]
+pub(crate) fn weibull_inv_cum_hazard(
+    gamma: f64,
+    eta: f64,
+    inv_beta: f64,
+    h: f64,
+    mode: MathMode,
+) -> f64 {
+    let root = if inv_beta == 1.0 {
+        h
+    } else if mode == MathMode::Fast && inv_beta == 0.5 {
+        h.sqrt()
+    } else if mode == MathMode::Fast && inv_beta == 2.0 {
+        h * h
+    } else {
+        (inv_beta * h.ln()).exp()
+    };
+    gamma + eta * root
+}
+
+/// Residual life `H⁻¹(h) − t0` past the age `t0`, for a cumulative
+/// hazard `h = H(t0) + E`; clamped at 0 against the rounding of
+/// `H⁻¹(H(t0))` back to `t0`.
+#[inline]
+pub(crate) fn weibull_residual(
+    gamma: f64,
+    eta: f64,
+    inv_beta: f64,
+    t0: f64,
+    h: f64,
+    mode: MathMode,
+) -> f64 {
+    (weibull_inv_cum_hazard(gamma, eta, inv_beta, h, mode) - t0).max(0.0)
+}
+
+/// Conditional window mass `q = 1 − exp(−(H(t0 + w) − H(t0)))`: the
+/// probability that the residual life past `t0` ends within `window`,
+/// given `h0 = H(t0)`.
+#[inline]
+pub(crate) fn weibull_window_mass(
+    gamma: f64,
+    eta: f64,
+    beta: f64,
+    t0: f64,
+    window: f64,
+    h0: f64,
+) -> f64 {
+    -(-(weibull_cum_hazard(gamma, eta, beta, t0 + window) - h0)).exp_m1()
+}
+
+/// `Exp(1)` variate `−ln(1 − u)` of a grid uniform `u = k·2⁻⁵³`
+/// (`rng_f64`): `1 − u` is exact on that grid, so `ln` loses nothing
+/// to `ln_1p` and costs about half as much.
+#[inline]
+pub(crate) fn exp1_from_grid(u: f64) -> f64 {
+    -(1.0 - u).ln()
+}
+
+/// `Exp(1)` variate `−ln_1p(−v)` of an off-grid uniform — the warped
+/// variates of tilts and forcings, for which `1 − v` would round.
+#[inline]
+pub(crate) fn exp1_from_warped(v: f64) -> f64 {
+    -(-v).ln_1p()
 }
 
 #[cfg(test)]

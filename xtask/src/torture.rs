@@ -19,6 +19,12 @@
 //! 5. **Double-SIGINT escape** — two interrupts during a fault-stalled
 //!    checkpoint write must exit 5 promptly (watchdog-enforced), never
 //!    deadlock behind the stalled I/O.
+//! 6. **Stale-fingerprint refusal** — leg 4's healthy snapshot with its
+//!    payload fingerprint overwritten and its checksum recomputed (a
+//!    well-formed file from another run, as a build with another sampler
+//!    version writes it) makes `--resume` exit 4 with the typed config
+//!    mismatch, whose message lists the sampler version among the
+//!    causes, instead of mixing two samplers' draws in one estimate.
 //!
 //! `--smoke` runs a reduced grid for CI; the full grid is for local
 //! soak runs. Every leg is deterministic — same seed, same fault plan,
@@ -108,8 +114,11 @@ pub fn check(root: &Path, smoke: bool) -> Result<Vec<Finding>, String> {
     write_fault_grid(root, &bin, &reference_out, &ckpt, smoke, &mut findings)?;
     sticky_degradation(root, &bin, &reference_out, &ckpt, &mut findings)?;
     required_fails_fast(root, &bin, &ckpt_str, &mut findings)?;
-    corrupt_resume_refused(root, &bin, &ckpt, &mut findings)?;
+    let healthy = corrupt_resume_refused(root, &bin, &ckpt, &mut findings)?;
     double_sigint_escapes_stall(root, &bin, &mut findings)?;
+    if let Some(healthy) = healthy {
+        stale_fingerprint_refused(root, &bin, &ckpt, healthy, &mut findings)?;
+    }
 
     let _ = std::fs::remove_file(&ckpt);
     Ok(findings)
@@ -259,12 +268,13 @@ fn required_fails_fast(
 
 /// Leg 4: corrupt the snapshot on disk, then `--resume`. The checksum
 /// must refuse it (exit 4) — never resume into wrong statistics.
+/// Returns the healthy snapshot's bytes for leg 6.
 fn corrupt_resume_refused(
     root: &Path,
     bin: &Path,
     ckpt: &Path,
     findings: &mut Vec<Finding>,
-) -> Result<(), String> {
+) -> Result<Option<Vec<u8>>, String> {
     let _ = std::fs::remove_file(ckpt);
     let ckpt_str = ckpt.to_string_lossy().into_owned();
     let healthy = Command::new(bin)
@@ -278,21 +288,22 @@ fn corrupt_resume_refused(
             "checkpointed run for the corruption leg failed ({})",
             healthy.status
         )));
-        return Ok(());
+        return Ok(None);
     }
-    let mut bytes = match std::fs::read(ckpt) {
+    let healthy = match std::fs::read(ckpt) {
         Ok(bytes) if !bytes.is_empty() => bytes,
         Ok(_) => {
             findings.push(finding("corruption leg: snapshot file is empty".into()));
-            return Ok(());
+            return Ok(None);
         }
         Err(e) => {
             findings.push(finding(format!(
                 "corruption leg: cannot read the snapshot: {e}"
             )));
-            return Ok(());
+            return Ok(None);
         }
     };
+    let mut bytes = healthy.clone();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xff;
     std::fs::write(ckpt, &bytes).map_err(|e| format!("cannot corrupt the snapshot: {e}"))?;
@@ -309,7 +320,7 @@ fn corrupt_resume_refused(
             String::from_utf8_lossy(&resumed.stderr).trim()
         )));
     }
-    Ok(())
+    Ok(Some(healthy))
 }
 
 /// Leg 5: the first checkpoint write stalls for 30 s (injected). Two
@@ -373,6 +384,60 @@ fn double_sigint_escapes_stall(
     }
     let _ = std::fs::remove_file(&ckpt);
     Ok(())
+}
+
+/// Leg 6: leg 4's healthy snapshot with another run fingerprint in
+/// payload bytes 20..28 and the FNV-1a trailer recomputed, so the file
+/// parses cleanly and only the fingerprint differs — what a snapshot
+/// from a build with another sampler version looks like. `--resume`
+/// must exit 4 with the config mismatch, whose message lists the
+/// sampler version among the causes.
+fn stale_fingerprint_refused(
+    root: &Path,
+    bin: &Path,
+    ckpt: &Path,
+    mut bytes: Vec<u8>,
+    findings: &mut Vec<Finding>,
+) -> Result<(), String> {
+    if bytes.len() < 36 {
+        findings.push(finding(format!(
+            "stale-fingerprint leg: the snapshot is {} byte(s), too short to rewrite",
+            bytes.len()
+        )));
+        return Ok(());
+    }
+    let mut fingerprint = [0u8; 8];
+    fingerprint.copy_from_slice(&bytes[20..28]);
+    let stale = !u64::from_le_bytes(fingerprint);
+    bytes[20..28].copy_from_slice(&stale.to_le_bytes());
+    let n = bytes.len();
+    let sum = fnv1a(&bytes[..n - 8]);
+    bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(ckpt, &bytes).map_err(|e| format!("cannot rewrite the snapshot: {e}"))?;
+    let ckpt_str = ckpt.to_string_lossy().into_owned();
+    let resumed = Command::new(bin)
+        .current_dir(root)
+        .args(BASE_ARGS)
+        .args(["--checkpoint", &ckpt_str, "--resume"])
+        .output()
+        .map_err(|e| format!("cannot spawn {}: {e}", bin.display()))?;
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    if resumed.status.code() != Some(4) || !stderr.contains("sampler version") {
+        findings.push(finding(format!(
+            "resume from a stale-fingerprint snapshot: expected exit 4 naming the \
+             sampler version, got {:?}: {}",
+            resumed.status.code(),
+            stderr.trim()
+        )));
+    }
+    Ok(())
+}
+
+/// FNV-1a 64, the checkpoint trailer's checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Polls the child until it exits or `budget` elapses (`Ok(None)`).
