@@ -18,10 +18,16 @@
 //! version-2 weighted fields of an unbiased run are exact integer
 //! functions of the version-1 fields, so the new fingerprints pin the
 //! same sampling behavior.
+//!
+//! The biased cases pin the importance-sampling paths (tilted,
+//! conditional-tilted and forced draws, and the weighted moments) the
+//! same way. They were captured before the sampling layer was rebuilt
+//! on a buffered word source, so that rebuild is held bit-exact on the
+//! biased paths too, not only statistically.
 
 use raidsim_core::checkpoint::{DriverState, SimCheckpoint, FORMAT_VERSION};
 use raidsim_core::config::{RaidGroupConfig, Redundancy, SparePolicy, TransitionDistributions};
-use raidsim_core::engine::TimelineEngine;
+use raidsim_core::engine::{BiasPolicy, TimelineEngine};
 use raidsim_core::run::Simulator;
 use raidsim_dists::{
     CompetingRisks, Degenerate, Exponential, LifeDistribution, Lognormal, Mixture, Weibull3,
@@ -158,6 +164,83 @@ fn golden_cases() -> Vec<(&'static str, RaidGroupConfig, bool, usize, u64, u64)>
 fn streamed_aggregates_match_pre_pool_golden_values() {
     for (label, cfg, timeline, groups, seed, expected) in golden_cases() {
         let mut sim = Simulator::new(cfg);
+        if timeline {
+            sim = sim.with_engine(Arc::new(TimelineEngine::new()));
+        }
+        for threads in [1usize, 3] {
+            let stats = sim.run_streaming(groups, seed, threads);
+            let got = stats_fingerprint(&stats, seed, groups as u64);
+            if std::env::var("GOLDEN_CAPTURE").is_ok() {
+                eprintln!("{label}: {got:#018x}");
+                continue;
+            }
+            assert_eq!(
+                got, expected,
+                "{label} at {threads} thread(s): fingerprint {got:#018x}, \
+                 golden {expected:#018x}"
+            );
+        }
+    }
+}
+
+/// `(label, config, use timeline engine, bias, groups, seed, expected
+/// fingerprint)`.
+fn biased_golden_cases() -> Vec<(
+    &'static str,
+    RaidGroupConfig,
+    bool,
+    BiasPolicy,
+    usize,
+    u64,
+    u64,
+)> {
+    let tilt = BiasPolicy::HazardTilt {
+        op_theta: 1.5,
+        latent_theta: 0.5,
+    };
+    let raid6 = RaidGroupConfig {
+        redundancy: Redundancy::DoubleParity,
+        ..base()
+    };
+    let forced = BiasPolicy::ForcedCritical {
+        fraction: 0.015,
+        window_hours: 250.0,
+    };
+    vec![
+        (
+            "tilt_timeline",
+            base(),
+            true,
+            tilt,
+            300,
+            21,
+            0x9e2b_0bd2_c2d7_32fc,
+        ),
+        (
+            "tilt_des",
+            base(),
+            false,
+            tilt,
+            300,
+            22,
+            0xb07c_cfd2_6f78_6815,
+        ),
+        (
+            "raid6_forced_des",
+            raid6,
+            false,
+            forced,
+            300,
+            23,
+            0x1497_2288_32d0_7a27,
+        ),
+    ]
+}
+
+#[test]
+fn biased_aggregates_match_golden_values() {
+    for (label, cfg, timeline, bias, groups, seed, expected) in biased_golden_cases() {
+        let mut sim = Simulator::new(cfg).with_bias(bias);
         if timeline {
             sim = sim.with_engine(Arc::new(TimelineEngine::new()));
         }
