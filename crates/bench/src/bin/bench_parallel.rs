@@ -12,8 +12,10 @@
 //! worthless.
 //!
 //! Schema 3 adds a per-configuration `block_check`: a single-threaded
-//! scalar-vs-block timing pair whose statistics are asserted equal
-//! before `bit_identical: true` is written, plus a top-level
+//! timing pair of sessions drawing straight from the RNG (`scalar`) and
+//! through the default block-filled lookahead (`block`), whose
+//! statistics are asserted equal before `bit_identical: true` is
+//! written, plus a top-level
 //! `host_threads`/`note` pair recording the CPU budget the numbers were
 //! taken under (a 1-CPU container cannot measure speedup).
 //!
@@ -34,6 +36,11 @@ use std::time::Instant;
 
 /// Thread counts the baseline ladder covers.
 const THREAD_LADDER: [usize; 4] = [1, 2, 4, 8];
+
+/// Single-threaded work, in seconds, the smoke-mode starvation probe's
+/// epoch holds: long enough that on a busy host every worker is
+/// scheduled before its siblings can drain the epoch.
+const STARVATION_PROBE_SECONDS: f64 = 0.25;
 
 /// One measured cell: a configuration at one thread count.
 struct Cell {
@@ -160,7 +167,7 @@ fn main() {
         "  \"note\": \"timings reflect whatever CPU budget the host grants \
          ({host_threads} hardware thread(s) here); on a 1-CPU container the \
          multi-thread ladder measures scheduling overhead, not speedup, and \
-         block-vs-scalar deltas are noisy — per_group_ns and speedup are \
+         lookahead-vs-direct (block_check) deltas are noisy — per_group_ns and speedup are \
          trajectory data, never pass/fail\","
     );
     let _ = writeln!(json, "  \"groups\": {n_groups},");
@@ -182,17 +189,15 @@ fn main() {
         let sim = Simulator::new(cfg.clone());
         eprintln!("[{}/{n_configs}] {name}: {n_groups} groups", ci + 1);
 
-        // Block-vs-scalar check, single-threaded: the default session
-        // tuning lowers fixed-word-count draw sites onto block-drawn
-        // buffers, and that lowering must be draw-for-draw bit-identical
-        // to the scalar loops it replaces. Both paths are timed fresh so
-        // the recorded delta is an honest like-for-like measurement, and
-        // the statistics are asserted equal before anything is written —
-        // `bit_identical` below is attested, not assumed.
-        let scalar_sim = Simulator::new(cfg).with_tuning(SessionTuning {
-            block_draws: false,
-            ..SessionTuning::default()
-        });
+        // Lookahead-vs-direct check, single-threaded: the default
+        // session tuning serves every draw from a block-filled
+        // lookahead over the group stream, and that must be
+        // draw-for-draw bit-identical to drawing straight from the RNG.
+        // Both paths are timed fresh so the recorded delta is an honest
+        // like-for-like measurement, and the statistics are asserted
+        // equal before anything is written — `bit_identical` below is
+        // attested, not assumed.
+        let scalar_sim = Simulator::new(cfg).with_tuning(SessionTuning { block_draws: false });
         let t0 = Instant::now();
         let block_stats = sim.run_streaming(n_groups, seed, 1);
         let block_per_group_ns = t0.elapsed().as_secs_f64() * 1e9 / n_groups as f64;
@@ -201,11 +206,11 @@ fn main() {
         let scalar_per_group_ns = t0.elapsed().as_secs_f64() * 1e9 / n_groups as f64;
         assert_eq!(
             block_stats, scalar_stats,
-            "{name}: block-drawn sampling diverged from the scalar path"
+            "{name}: lookahead draws diverged from direct RNG draws"
         );
         eprintln!(
-            "  block check: scalar {scalar_per_group_ns:.0} ns/group, \
-             block {block_per_group_ns:.0} ns/group, bit-identical"
+            "  block check: direct {scalar_per_group_ns:.0} ns/group, \
+             lookahead {block_per_group_ns:.0} ns/group, bit-identical"
         );
         let mut cells: Vec<Cell> = Vec::with_capacity(THREAD_LADDER.len());
         let mut reference = None;
@@ -247,14 +252,21 @@ fn main() {
             // Timing still decides the split, so the floor is "no
             // starvation", not a fairness target; 1-CPU hosts skip it
             // because a worker there can legitimately drain everything
-            // before its sibling is scheduled at all.
+            // before its sibling is scheduled at all. The smoke ladder's
+            // short epoch can drain before a busy host schedules the
+            // second worker, so the probe runs its own epoch, sized from
+            // the measured per-group time to hold
+            // `STARVATION_PROBE_SECONDS` of work.
             if smoke && threads > 1 && threads <= host_threads {
+                let probe_groups = n_groups
+                    .max((STARVATION_PROBE_SECONDS * 1e9 / block_per_group_ns).ceil() as usize);
+                let (_, probe) = sim.run_streaming_instrumented(probe_groups, seed, threads, &());
                 assert!(
-                    sched.balance() > 0.0,
-                    "{name}: a worker starved at {threads} threads \
-                     (worker groups min {} / max {})",
-                    sched.min_worker_groups(),
-                    sched.max_worker_groups()
+                    probe.balance() > 0.0,
+                    "{name}: a worker starved at {threads} threads over {probe_groups} \
+                     groups (worker groups min {} / max {})",
+                    probe.min_worker_groups(),
+                    probe.max_worker_groups()
                 );
             }
             let speedup = cells.first().map_or(1.0, |c: &Cell| c.wall_ms / wall_ms);

@@ -1,9 +1,9 @@
 use super::ddf::{self, SlotCondition};
-use super::{draw, BiasPolicy, BlockCursor, Engine, EngineCounters, EngineSession, SessionTuning};
+use super::{draw, BiasPolicy, Engine, EngineCounters, EngineSession, SessionTuning};
 use crate::config::{RaidGroupConfig, Redundancy, SparePolicy};
 use crate::events::{DdfEvent, GroupHistory};
-use raidsim_dists::kernel::{Forcing, MathMode, Tilt};
-use raidsim_dists::rng::SimRng;
+use raidsim_dists::kernel::{Forcing, Tilt};
+use raidsim_dists::rng::{Lookahead, SimRng, WordSource};
 use raidsim_dists::{KernelCache, SampleKernel};
 
 /// Tracks the on-site spare pool for [`SparePolicy::Finite`].
@@ -186,15 +186,9 @@ struct DesSession {
     /// High-water mark of `history.ddfs` capacity, for `scratch_grows`.
     ddfs_cap: usize,
     counters: EngineCounters,
-    /// Whether the mission-start init loop draws its slot lifetimes as
-    /// one block: requires the tuning's consent and that every
-    /// participating kernel consumes exactly one word per draw. The
-    /// init site is the only fixed-word-count draw site in this engine
-    /// — every event-loop draw is data-dependent and stays scalar.
-    block_init: bool,
-    /// Kernel evaluation mode for block transforms.
-    math_mode: MathMode,
-    cursor: BlockCursor,
+    /// Whether groups draw through a [`Lookahead`]
+    /// ([`SessionTuning::block_draws`]) or straight from the RNG.
+    block_draws: bool,
 }
 
 impl DesSession {
@@ -209,17 +203,14 @@ impl DesSession {
         kernels: &mut KernelCache,
     ) -> Self {
         let dists = &cfg.dists;
-        let ttop = kernels.lower(&dists.ttop);
-        let ttld = dists.ttld.as_ref().map(|d| kernels.lower(d));
-        let block_init = tuning.block_draws && BlockCursor::eligible(&[Some(&ttop), ttld.as_ref()]);
         Self {
             n: cfg.drives,
             mission: cfg.mission_hours,
             redundancy: cfg.redundancy,
             defect_reset: cfg.defect_reset_on_replacement,
-            ttop,
+            ttop: kernels.lower(&dists.ttop),
             ttr: kernels.lower(&dists.ttr),
-            ttld,
+            ttld: dists.ttld.as_ref().map(|d| kernels.lower(d)),
             ttscrub: dists.ttscrub.as_ref().map(|d| kernels.lower(d)),
             op_tilt: bias.op_tilt(),
             latent_tilt: bias.latent_tilt(),
@@ -232,9 +223,7 @@ impl DesSession {
             history: GroupHistory::default(),
             ddfs_cap: 0,
             counters: EngineCounters::default(),
-            block_init,
-            math_mode: tuning.math_mode(),
-            cursor: BlockCursor::new(),
+            block_draws: tuning.block_draws,
         }
     }
 
@@ -260,7 +249,13 @@ impl DesSession {
     /// the identical (history-measurable) schedule. Slots whose pending
     /// time ties `t` are skipped so atom-carrying lifetime
     /// distributions stay correct under the strict conditioning.
-    fn force_critical(&mut self, t: f64, ddf_block_until: f64, budget: &mut u32, rng: &mut SimRng) {
+    fn force_critical<W: WordSource>(
+        &mut self,
+        t: f64,
+        ddf_block_until: f64,
+        budget: &mut u32,
+        rng: &mut W,
+    ) {
         let Some((forcing, window)) = self.force else {
             return;
         };
@@ -327,8 +322,10 @@ fn force_budget_for(forcing: Forcing) -> u32 {
     ((19.0 / per_miss) as u32).min(512)
 }
 
-impl EngineSession for DesSession {
-    fn simulate_group(&mut self, rng: &mut SimRng) -> &GroupHistory {
+impl DesSession {
+    /// Simulates one group into `self.history`: the engine's one event
+    /// loop, instantiated once per word source.
+    fn run_group<W: WordSource>(&mut self, rng: &mut W) {
         let mission = self.mission;
         let ld_enabled = self.ttld.is_some();
 
@@ -344,59 +341,27 @@ impl EngineSession for DesSession {
             pool.reset();
         }
         self.slots.clear();
-        if self.block_init && self.n > 0 {
-            // Block path: the init site draws exactly one word per
-            // kernel per slot (ttop then ttld, interleaved), so all its
-            // uniforms can be filled up front and transformed densely —
-            // bit-identical to the scalar loop below by the
-            // `BlockCursor` contract, which the block/scalar full-run
-            // equivalence tests enforce.
-            let ld = self.ttld.as_ref().map(|d| (d, self.latent_tilt));
-            let has_ld = ld.is_some();
-            let (ops, lds) = self.cursor.draw_interleaved(
-                self.n,
-                &self.ttop,
-                self.op_tilt,
-                ld,
-                self.math_mode,
-                &mut self.history.log_weight,
-                rng,
-            );
-            for i in 0..self.n {
-                self.counters.samples_drawn += 1 + u64::from(has_ld);
-                self.slots.push(Slot {
-                    up: true,
-                    born_at: 0.0,
-                    forced_at: f64::NEG_INFINITY,
-                    next_op: ops[i],
-                    defective: false,
-                    next_ld: if has_ld { lds[i] } else { f64::INFINITY },
-                    clear_is_restore: false,
-                });
-            }
-        } else {
-            for _ in 0..self.n {
-                // Sampling order per slot (ttop then ttld) matches the
-                // original collect-based construction bit for bit.
-                self.counters.samples_drawn += 1;
-                let next_op = draw(&self.ttop, self.op_tilt, &mut self.history.log_weight, rng);
-                let next_ld = match &self.ttld {
-                    Some(d) => {
-                        self.counters.samples_drawn += 1;
-                        draw(d, self.latent_tilt, &mut self.history.log_weight, rng)
-                    }
-                    None => f64::INFINITY,
-                };
-                self.slots.push(Slot {
-                    up: true,
-                    born_at: 0.0,
-                    forced_at: f64::NEG_INFINITY,
-                    next_op,
-                    defective: false,
-                    next_ld,
-                    clear_is_restore: false,
-                });
-            }
+        for _ in 0..self.n {
+            // Sampling order per slot (ttop then ttld) matches the
+            // original collect-based construction bit for bit.
+            self.counters.samples_drawn += 1;
+            let next_op = draw(&self.ttop, self.op_tilt, &mut self.history.log_weight, rng);
+            let next_ld = match &self.ttld {
+                Some(d) => {
+                    self.counters.samples_drawn += 1;
+                    draw(d, self.latent_tilt, &mut self.history.log_weight, rng)
+                }
+                None => f64::INFINITY,
+            };
+            self.slots.push(Slot {
+                up: true,
+                born_at: 0.0,
+                forced_at: f64::NEG_INFINITY,
+                next_op,
+                defective: false,
+                next_ld,
+                clear_is_restore: false,
+            });
         }
 
         // Rule 5: no DDF can be recorded before this time.
@@ -581,6 +546,18 @@ impl EngineSession for DesSession {
         if self.history.ddfs.capacity() > self.ddfs_cap {
             self.ddfs_cap = self.history.ddfs.capacity();
             self.counters.scratch_grows += 1;
+        }
+    }
+}
+
+impl EngineSession for DesSession {
+    fn simulate_group(&mut self, rng: &mut SimRng) -> &GroupHistory {
+        if self.block_draws {
+            let mut words = Lookahead::new(rng);
+            self.run_group(&mut words);
+            self.counters.count_words(&words);
+        } else {
+            self.run_group(rng);
         }
         &self.history
     }

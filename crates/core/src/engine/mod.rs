@@ -25,8 +25,8 @@ pub use timeline::TimelineEngine;
 
 use crate::config::RaidGroupConfig;
 use crate::events::GroupHistory;
-use raidsim_dists::kernel::{Forcing, MathMode, Tilt};
-use raidsim_dists::rng::{fill_uniforms, SimRng};
+use raidsim_dists::kernel::{Forcing, Tilt};
+use raidsim_dists::rng::{Lookahead, SimRng, WordSource};
 use raidsim_dists::{KernelCache, SampleKernel};
 
 /// A change of sampling measure applied to an engine session's lifetime
@@ -174,175 +174,37 @@ fn tilt_for(theta: f64) -> Option<Tilt> {
 /// Performance tuning for an engine session — knobs that must never
 /// change *what* is simulated, only how fast.
 ///
-/// `block_draws` (default **on**) lets sessions evaluate fixed-shape
-/// sampling sites as whole buffers (see [`BlockCursor`]); the block
-/// path is draw-for-draw bit-identical to the scalar path, so this is
-/// purely an A/B lever for benchmarks and equivalence tests.
-///
-/// `fast_math` (default **off**) additionally switches the block
-/// transforms to [`MathMode::Fast`], permitting float-op-reordering
-/// rewrites with documented tolerance instead of bit-identity. Because
-/// results can differ in the last bits, fast-math runs carry a
-/// perturbed checkpoint fingerprint
-/// ([`crate::checkpoint::tuned_fingerprint`]) so they never resume
-/// into, or merge with, exact runs.
+/// `block_draws` (default **on**) serves every draw of a group from a
+/// [`Lookahead`] that block-fills the group stream's next words and
+/// precomputes their `Exp(1)` images. The lookahead serves the same
+/// words in the same order with the same arithmetic, so its draws are
+/// bit-identical to drawing straight from the RNG; `block_draws: false`
+/// does the latter and is the reference for that identity and the A/B
+/// lever for benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionTuning {
-    /// Evaluate eligible sampling sites in blocks.
+    /// Draw through a block-filled lookahead rather than straight from
+    /// the RNG.
     pub block_draws: bool,
-    /// Allow non-bit-identical algebraic rewrites in block transforms.
-    pub fast_math: bool,
 }
 
 impl Default for SessionTuning {
     fn default() -> Self {
-        SessionTuning {
-            block_draws: true,
-            fast_math: false,
-        }
-    }
-}
-
-impl SessionTuning {
-    /// The kernel evaluation mode this tuning implies.
-    pub fn math_mode(&self) -> MathMode {
-        if self.fast_math {
-            MathMode::Fast
-        } else {
-            MathMode::Exact
-        }
-    }
-}
-
-/// Per-worker scratch for block-drawn sampling sites.
-///
-/// A sampling site is *block-eligible* when it draws a fixed number of
-/// RNG words per item — each participating kernel reports
-/// [`SampleKernel::words_per_sample`] `== Some(1)` — and is followed by
-/// further draws from the same per-group stream only after the site
-/// completes. The cursor then:
-///
-/// 1. fills all the site's uniforms at once
-///    ([`raidsim_dists::rng::fill_uniforms`], preserving word order),
-/// 2. de-interleaves them into per-kernel lanes,
-/// 3. applies any tilt warps **in scalar element order**, so the
-///    log-weight accumulates with the identical association, and
-/// 4. runs each kernel's pure dense transform over its lane — the
-///    warped-variate transform on tilted lanes, the grid transform on
-///    the rest.
-///
-/// Steps 3–4 touch no RNG state, so under [`MathMode::Exact`] the
-/// lanes are bit-identical to the scalar interleaved loop and the RNG
-/// ends at the same position. Buffers are retained across groups, so
-/// the steady-state loop stays allocation-free once warmed up.
-#[derive(Debug, Default)]
-pub(crate) struct BlockCursor {
-    uniforms: Vec<f64>,
-    lane_a: Vec<f64>,
-    lane_b: Vec<f64>,
-}
-
-impl BlockCursor {
-    pub(crate) fn new() -> Self {
-        BlockCursor::default()
-    }
-
-    /// Whether a site whose items each draw once from every present
-    /// kernel (in a fixed order) can be block-drawn.
-    pub(crate) fn eligible(kernels: &[Option<&SampleKernel>]) -> bool {
-        kernels.iter().all(|k| match k {
-            Some(k) => k.words_per_sample() == Some(1),
-            None => true,
-        })
-    }
-
-    /// Draws `n` items, each consisting of one draw from `a` followed
-    /// (when `b` is present) by one draw from `b`, bit-identical to the
-    /// scalar loop
-    /// `for _ in 0..n { draw(a, tilt_a, ..); draw(b, tilt_b, ..); }`
-    /// under [`MathMode::Exact`]. Returns the two lanes of results
-    /// (`lane_b` is empty when `b` is `None`).
-    ///
-    /// Every participating kernel must satisfy
-    /// `words_per_sample() == Some(1)` — check
-    /// [`BlockCursor::eligible`] first.
-    // One (kernel, tilt) lane pair per scalar-loop draw site; folding
-    // them into a struct would obscure the a/b lane symmetry.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn draw_interleaved(
-        &mut self,
-        n: usize,
-        a: &SampleKernel,
-        tilt_a: Option<Tilt>,
-        b: Option<(&SampleKernel, Option<Tilt>)>,
-        mode: MathMode,
-        log_weight: &mut f64,
-        rng: &mut SimRng,
-    ) -> (&[f64], &[f64]) {
-        debug_assert!(
-            BlockCursor::eligible(&[Some(a), b.map(|(k, _)| k)]),
-            "block-drawn kernels must consume exactly one word per sample"
-        );
-        let lanes = 1 + usize::from(b.is_some());
-        self.uniforms.resize(n * lanes, 0.0);
-        fill_uniforms(rng, &mut self.uniforms);
-        self.lane_a.clear();
-        self.lane_b.clear();
-        if b.is_some() {
-            for pair in self.uniforms.chunks_exact(2) {
-                self.lane_a.push(pair[0]);
-                self.lane_b.push(pair[1]);
-            }
-        } else {
-            self.lane_a.extend_from_slice(&self.uniforms);
-        }
-        let tilt_b = b.and_then(|(_, t)| t);
-        if tilt_a.is_some() || tilt_b.is_some() {
-            // Warp in the scalar interleaved order (a₀, b₀, a₁, b₁, …)
-            // so the log-weight sum associates bit-identically.
-            for i in 0..n {
-                if let Some(t) = tilt_a {
-                    let (v, lw) = t.warp(self.lane_a[i]);
-                    *log_weight += lw;
-                    self.lane_a[i] = v;
-                }
-                if let Some(t) = tilt_b {
-                    let (v, lw) = t.warp(self.lane_b[i]);
-                    *log_weight += lw;
-                    self.lane_b[i] = v;
-                }
-            }
-        }
-        lane_transform(a, tilt_a.is_some(), mode, &mut self.lane_a);
-        if let Some((kb, _)) = b {
-            lane_transform(kb, tilt_b.is_some(), mode, &mut self.lane_b);
-        }
-        (&self.lane_a, &self.lane_b)
-    }
-}
-
-/// The dense transform of one block lane: warped lanes take the
-/// off-grid transform that [`SampleKernel::sample_tilted`] applies, so
-/// tilted lanes stay bit-identical to the scalar [`draw`].
-fn lane_transform(kernel: &SampleKernel, warped: bool, mode: MathMode, lane: &mut [f64]) {
-    if warped {
-        kernel.samples_from_warped(mode, lane);
-    } else {
-        kernel.samples_from_uniforms(mode, lane);
+        SessionTuning { block_draws: true }
     }
 }
 
 /// Draws from `kernel`, tilted when a tilt is present (accumulating the
 /// draw's log-likelihood-ratio into `log_weight`), plain otherwise.
 ///
-/// The `None` arm calls [`raidsim_dists::SampleKernel::sample`]
+/// The `None` arm calls [`SampleKernel::sample`]
 /// directly, so unbiased sessions keep their bit-identity contract.
 #[inline]
-pub(crate) fn draw(
-    kernel: &raidsim_dists::SampleKernel,
+pub(crate) fn draw<W: WordSource>(
+    kernel: &SampleKernel,
     tilt: Option<Tilt>,
     log_weight: &mut f64,
-    rng: &mut SimRng,
+    rng: &mut W,
 ) -> f64 {
     match tilt {
         Some(t) => kernel.sample_tilted(t, log_weight, rng),
@@ -377,7 +239,9 @@ pub trait Engine: std::fmt::Debug + Send + Sync {
     ///
     /// The caller supplies the RNG; the batch runner derives one
     /// deterministic stream per group index so results do not depend on
-    /// thread scheduling.
+    /// thread scheduling. Like a session, the call may read words past
+    /// the group's last draw (see [`Engine::session`]), so the stream
+    /// is not reusable afterwards.
     fn simulate_group(&self, cfg: &RaidGroupConfig, rng: &mut SimRng) -> GroupHistory;
 
     /// Human-readable engine name for reports.
@@ -402,6 +266,13 @@ pub trait Engine: std::fmt::Debug + Send + Sync {
     /// determinism per `(seed, policy)` still holds, but bit-identity
     /// with the unbiased draws does not (the whole point is to visit
     /// different paths).
+    ///
+    /// **Read-ahead.** A session may consume words of `rng` past the
+    /// group's last draw: its default [`Lookahead`] reads the stream in
+    /// blocks, and the unused tail of the last block is discarded when
+    /// the group ends. Give each group a fresh stream (the runners use
+    /// `stream(seed, index)`) and discard it afterwards; what the
+    /// stream yields after the call is unspecified.
     ///
     /// The default implementation delegates to
     /// [`Engine::simulate_group`] per call (correct for any engine,
@@ -434,12 +305,10 @@ pub trait Engine: std::fmt::Debug + Send + Sync {
     /// ([`SessionTuning`]).
     ///
     /// Under the default tuning the returned session is **identical**
-    /// to [`Engine::session`]'s: the default block path is
-    /// draw-for-draw bit-identical to the scalar path, so there is no
-    /// behavioral difference to opt out of. `block_draws: false` forces
-    /// the scalar path (the benchmark A/B lever), and `fast_math: true`
-    /// opts into the documented-tolerance rewrites of
-    /// [`MathMode::Fast`].
+    /// to [`Engine::session`]'s. `block_draws: false` draws straight
+    /// from the RNG instead of through the lookahead; the histories are
+    /// bit-identical either way, so it is purely the reference and A/B
+    /// lever for that identity.
     ///
     /// The default implementation ignores the tuning and delegates to
     /// [`Engine::session`] — correct for any engine, since tuning may
@@ -488,6 +357,10 @@ pub trait EngineSession: std::fmt::Debug {
     /// Simulates one group and returns a reference to the session's
     /// internal history buffer. The buffer is overwritten by the next
     /// call — clone it to keep the history.
+    ///
+    /// The call may consume words of `rng` past the group's last draw
+    /// (the read-ahead of [`Engine::session`]), so pass a fresh stream
+    /// per group and do not draw from it afterwards.
     fn simulate_group(&mut self, rng: &mut SimRng) -> &GroupHistory;
 
     /// Work counters accumulated since the session was opened.
@@ -523,6 +396,15 @@ pub struct EngineCounters {
     /// zero as the session warms up; reported for diagnostics, not
     /// asserted.
     pub scratch_grows: u64,
+    /// RNG words the session's [`Lookahead`] read from group streams.
+    /// Zero when the session draws straight from the RNG
+    /// (`SessionTuning { block_draws: false }`).
+    pub stream_words_filled: u64,
+    /// RNG words the session's draws consumed through its
+    /// [`Lookahead`]; `stream_words_filled − stream_words_used` is the
+    /// read-ahead past each group's last draw. Zero when the session
+    /// draws straight from the RNG.
+    pub stream_words_used: u64,
 }
 
 impl EngineCounters {
@@ -533,6 +415,14 @@ impl EngineCounters {
         self.events += other.events;
         self.loop_allocs += other.loop_allocs;
         self.scratch_grows += other.scratch_grows;
+        self.stream_words_filled += other.stream_words_filled;
+        self.stream_words_used += other.stream_words_used;
+    }
+
+    /// Adds one finished group's lookahead word counts.
+    pub(crate) fn count_words(&mut self, words: &Lookahead<'_>) {
+        self.stream_words_filled += words.words_filled();
+        self.stream_words_used += words.words_used();
     }
 }
 
@@ -565,83 +455,5 @@ impl<F: FnMut(&mut SimRng) -> GroupHistory> EngineSession for OneShotSession<F> 
 
     fn counters(&self) -> EngineCounters {
         self.counters
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use raidsim_dists::rng::stream;
-    use raidsim_dists::{Exponential, LifeDistribution, Weibull3};
-    use std::sync::Arc;
-
-    fn kernel(d: impl LifeDistribution + 'static) -> SampleKernel {
-        let d: Arc<dyn LifeDistribution> = Arc::new(d);
-        SampleKernel::lower(&d)
-    }
-
-    /// The block cursor's lanes, log-weight and final RNG position
-    /// equal the scalar interleaved [`draw`] loop's to the bit, for
-    /// every tilt placement — the tilted Weibull lanes in particular
-    /// must use the off-grid `Exp(1)` transform the scalar path uses.
-    #[test]
-    fn draw_interleaved_matches_the_scalar_draw_loop_bit_for_bit() {
-        let kernels = [
-            kernel(Weibull3::new(6.0, 12.0, 2.0).unwrap()),
-            kernel(Weibull3::new(0.0, 461_386.0, 1.12).unwrap()),
-            kernel(Weibull3::new(0.0, 9_259.0, 1.0).unwrap()),
-            kernel(Weibull3::new(0.0, 100.0, 0.5).unwrap()),
-            kernel(Exponential::from_mean(50.0).unwrap()),
-        ];
-        let tilts = [
-            None,
-            Some(Tilt::new(0.8).unwrap()),
-            Some(Tilt::new(-0.4).unwrap()),
-        ];
-        let n = 257;
-        let mut cursor = BlockCursor::new();
-        let mut case = 0;
-        for a in &kernels {
-            for b in kernels.iter().map(Some).chain([None]) {
-                for &tilt_a in &tilts {
-                    for &tilt_b in &tilts {
-                        case += 1;
-                        let mut rng_scalar = stream(97, case);
-                        let mut rng_block = stream(97, case);
-                        let (mut lw_scalar, mut lw_block) = (0.0, 0.0);
-                        let mut want_a = Vec::with_capacity(n);
-                        let mut want_b = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            want_a.push(draw(a, tilt_a, &mut lw_scalar, &mut rng_scalar));
-                            if let Some(kb) = b {
-                                want_b.push(draw(kb, tilt_b, &mut lw_scalar, &mut rng_scalar));
-                            }
-                        }
-                        let (got_a, got_b) = cursor.draw_interleaved(
-                            n,
-                            a,
-                            tilt_a,
-                            b.map(|kb| (kb, tilt_b)),
-                            MathMode::Exact,
-                            &mut lw_block,
-                            &mut rng_block,
-                        );
-                        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(bits(got_a), bits(&want_a), "lane a, case {case}");
-                        assert_eq!(bits(got_b), bits(&want_b), "lane b, case {case}");
-                        assert_eq!(
-                            lw_block.to_bits(),
-                            lw_scalar.to_bits(),
-                            "weight, case {case}"
-                        );
-                        assert_eq!(
-                            rand::Rng::next_u64(&mut rng_block),
-                            rand::Rng::next_u64(&mut rng_scalar),
-                            "rng position, case {case}"
-                        );
-                    }
-                }
-            }
-        }
     }
 }

@@ -1,9 +1,9 @@
 use super::ddf::{self, SlotCondition};
-use super::{draw, BiasPolicy, BlockCursor, Engine, EngineCounters, EngineSession, SessionTuning};
+use super::{draw, BiasPolicy, Engine, EngineCounters, EngineSession, SessionTuning};
 use crate::config::{RaidGroupConfig, Redundancy};
 use crate::events::{DdfEvent, GroupHistory};
-use raidsim_dists::kernel::{MathMode, Tilt};
-use raidsim_dists::rng::SimRng;
+use raidsim_dists::kernel::Tilt;
+use raidsim_dists::rng::{Lookahead, SimRng, WordSource};
 use raidsim_dists::{KernelCache, SampleKernel};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -65,11 +65,11 @@ struct LdChain {
 }
 
 /// Samples the scrub completion for a defect opening at `defect_at`.
-fn schedule_clear(
+fn schedule_clear<W: WordSource>(
     defect_at: f64,
     ttscrub: Option<&SampleKernel>,
     samples: &mut u64,
-    rng: &mut SimRng,
+    rng: &mut W,
 ) -> f64 {
     match ttscrub {
         Some(d) => {
@@ -81,13 +81,13 @@ fn schedule_clear(
 }
 
 impl LdChain {
-    fn new(
+    fn new<W: WordSource>(
         ttld: Option<&SampleKernel>,
         ttscrub: Option<&SampleKernel>,
         tilt: Option<Tilt>,
         samples: &mut u64,
         log_weight: &mut f64,
-        rng: &mut SimRng,
+        rng: &mut W,
     ) -> Self {
         let mut chain = LdChain {
             defect_at: f64::INFINITY,
@@ -107,7 +107,7 @@ impl LdChain {
     /// reports whether a defect is pending at `t`. Defect/scrub counts
     /// are accumulated (up to the mission bound) as intervals retire.
     #[allow(clippy::too_many_arguments)]
-    fn defective_at(
+    fn defective_at<W: WordSource>(
         &mut self,
         t: f64,
         mission: f64,
@@ -116,7 +116,7 @@ impl LdChain {
         tilt: Option<Tilt>,
         samples: &mut u64,
         log_weight: &mut f64,
-        rng: &mut SimRng,
+        rng: &mut W,
     ) -> bool {
         let Some(ttld) = ttld else {
             return false;
@@ -143,7 +143,7 @@ impl LdChain {
     /// write errors created *during* the reconstruction remain latent
     /// (Section 4.2). Not counted as a scrub.
     #[allow(clippy::too_many_arguments)]
-    fn clear_by_restore(
+    fn clear_by_restore<W: WordSource>(
         &mut self,
         ddf_time: f64,
         restore: f64,
@@ -153,7 +153,7 @@ impl LdChain {
         tilt: Option<Tilt>,
         samples: &mut u64,
         log_weight: &mut f64,
-        rng: &mut SimRng,
+        rng: &mut W,
     ) {
         let Some(ttld) = ttld else { return };
         if self.defect_at <= ddf_time && restore < self.clear_at {
@@ -170,7 +170,7 @@ impl LdChain {
     /// Counts the remaining defects/scrubs between the chain's current
     /// position and the mission end.
     #[allow(clippy::too_many_arguments)]
-    fn finalize_counts(
+    fn finalize_counts<W: WordSource>(
         &mut self,
         mission: f64,
         ttld: Option<&SampleKernel>,
@@ -178,7 +178,7 @@ impl LdChain {
         tilt: Option<Tilt>,
         samples: &mut u64,
         log_weight: &mut f64,
-        rng: &mut SimRng,
+        rng: &mut W,
     ) {
         let Some(ttld) = ttld else { return };
         while self.defect_at <= mission {
@@ -239,12 +239,9 @@ struct TimelineSession {
     failures_cap: usize,
     spans_cap: usize,
     counters: EngineCounters,
-    /// Whether phase 3 may draw its chain seeds in one block (requires
-    /// every participating kernel to consume exactly one RNG word per
-    /// sample, so the block consumes the same words as the scalar loop).
-    block_chains: bool,
-    math_mode: MathMode,
-    cursor: BlockCursor,
+    /// Whether groups draw through a [`Lookahead`]
+    /// ([`SessionTuning::block_draws`]) or straight from the RNG.
+    block_draws: bool,
 }
 
 impl TimelineSession {
@@ -269,18 +266,14 @@ impl TimelineSession {
         );
         let dists = &cfg.dists;
         let n = cfg.drives;
-        let ttld = dists.ttld.as_ref().map(|d| kernels.lower(d));
-        let ttscrub = dists.ttscrub.as_ref().map(|d| kernels.lower(d));
-        let block_chains =
-            tuning.block_draws && BlockCursor::eligible(&[ttld.as_ref(), ttscrub.as_ref()]);
         Self {
             n,
             mission: cfg.mission_hours,
             redundancy: cfg.redundancy,
             ttop: kernels.lower(&dists.ttop),
             ttr: kernels.lower(&dists.ttr),
-            ttld,
-            ttscrub,
+            ttld: dists.ttld.as_ref().map(|d| kernels.lower(d)),
+            ttscrub: dists.ttscrub.as_ref().map(|d| kernels.lower(d)),
             op_tilt: bias.op_tilt(),
             latent_tilt: bias.latent_tilt(),
             timelines: std::iter::repeat_with(Vec::new).take(n).collect(),
@@ -293,15 +286,15 @@ impl TimelineSession {
             failures_cap: 0,
             spans_cap: 0,
             counters: EngineCounters::default(),
-            block_chains,
-            math_mode: tuning.math_mode(),
-            cursor: BlockCursor::new(),
+            block_draws: tuning.block_draws,
         }
     }
 }
 
-impl EngineSession for TimelineSession {
-    fn simulate_group(&mut self, rng: &mut SimRng) -> &GroupHistory {
+impl TimelineSession {
+    /// Simulates one group into `self.history`: the engine's one
+    /// five-phase procedure, instantiated once per word source.
+    fn run_group<W: WordSource>(&mut self, rng: &mut W) {
         let n = self.n;
         let mission = self.mission;
 
@@ -312,14 +305,6 @@ impl EngineSession for TimelineSession {
         // Phase 1 — generate each slot's operational renewal timeline
         // ("The operating and failure times are accumulated until a
         // specified mission time is exceeded", Section 5).
-        //
-        // This phase stays scalar by design: each slot's chain has a
-        // data-dependent length (draw until the mission is exceeded), so
-        // the number of RNG words it consumes is unknown up front. Any
-        // speculative block pre-fill would consume words that the next
-        // phase of the SAME per-group stream was due to see, breaking
-        // the bit-identity contract (DESIGN.md §18). Only
-        // fixed-word-count sites are blocked.
         for spans in &mut self.timelines {
             spans.clear();
             let mut t = 0.0f64;
@@ -366,50 +351,18 @@ impl EngineSession for TimelineSession {
             }
         }
 
-        // Phase 3 — lazily-advanced latent-defect chains. Seeding the
-        // chains draws a fixed number of words — n × (ttld[, ttscrub]),
-        // interleaved per slot — so when every kernel consumes exactly
-        // one word per sample the seeds can be drawn as one block. The
-        // scrub draw is never tilted (`schedule_clear` uses the plain
-        // sampler), matching the `None` tilt on lane b. Chain *advances*
-        // inside phase 4 remain scalar: they are lazy and data-dependent.
+        // Phase 3 — lazily-advanced latent-defect chains, seeded here
+        // and advanced on demand in phases 4 and 5.
         self.chains.clear();
-        if let (true, Some(ttld)) = (self.block_chains && n > 0, self.ttld.as_ref()) {
-            let scrub = self.ttscrub.as_ref().map(|k| (k, None));
-            let has_scrub = scrub.is_some();
-            let (defects, scrubs) = self.cursor.draw_interleaved(
-                n,
-                ttld,
+        for _ in 0..n {
+            self.chains.push(LdChain::new(
+                self.ttld.as_ref(),
+                self.ttscrub.as_ref(),
                 self.latent_tilt,
-                scrub,
-                self.math_mode,
+                &mut self.counters.samples_drawn,
                 &mut self.history.log_weight,
                 rng,
-            );
-            for i in 0..n {
-                self.counters.samples_drawn += 1 + u64::from(has_scrub);
-                self.chains.push(LdChain {
-                    defect_at: defects[i],
-                    clear_at: if has_scrub {
-                        defects[i] + scrubs[i]
-                    } else {
-                        f64::INFINITY
-                    },
-                    created: 0,
-                    scrubbed: 0,
-                });
-            }
-        } else {
-            for _ in 0..n {
-                self.chains.push(LdChain::new(
-                    self.ttld.as_ref(),
-                    self.ttscrub.as_ref(),
-                    self.latent_tilt,
-                    &mut self.counters.samples_drawn,
-                    &mut self.history.log_weight,
-                    rng,
-                ));
-            }
+            ));
         }
 
         // Phase 4 — the pairwise comparisons of Figure 5.
@@ -514,6 +467,18 @@ impl EngineSession for TimelineSession {
         if spans_cap > self.spans_cap {
             self.spans_cap = spans_cap;
             self.counters.scratch_grows += 1;
+        }
+    }
+}
+
+impl EngineSession for TimelineSession {
+    fn simulate_group(&mut self, rng: &mut SimRng) -> &GroupHistory {
+        if self.block_draws {
+            let mut words = Lookahead::new(rng);
+            self.run_group(&mut words);
+            self.counters.count_words(&words);
+        } else {
+            self.run_group(rng);
         }
         &self.history
     }

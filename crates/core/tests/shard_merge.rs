@@ -1,5 +1,5 @@
 //! Shard-scatter/merge bit-identity, and full-run equivalence of the
-//! block-drawn sampling paths against the scalar loops they replace.
+//! default lookahead draws against drawing straight from the RNG.
 //!
 //! The contracts under test (DESIGN.md §18):
 //!
@@ -8,9 +8,10 @@
 //!   to the one an unsharded run writes — per-group RNG streams are a
 //!   pure function of `(seed, index)` and `StreamStats` partials are
 //!   exact integers with an associative, commutative merge.
-//! * The default session tuning (block draws on, exact math) is
-//!   draw-for-draw bit-identical to the fully scalar path, for both
-//!   engines, with and without importance-sampling tilts.
+//! * The default session tuning (every draw served from a
+//!   block-filled lookahead) is draw-for-draw bit-identical to drawing
+//!   straight from the RNG, for both engines, with and without
+//!   importance-sampling tilts and forcing.
 //! * Merges refuse mismatched shards with typed errors instead of
 //!   silently producing wrong statistics.
 
@@ -144,20 +145,6 @@ fn merge_refuses_mismatched_shards() {
         })
     ));
 
-    // Fast math gets its own fingerprint domain.
-    let fast = Simulator::new(base()).with_tuning(SessionTuning {
-        fast_math: true,
-        ..SessionTuning::default()
-    });
-    let fast_shard = shard_snapshot(&fast, total, 1, 2, 7);
-    assert!(matches!(
-        merge_shards(vec![s0.clone(), fast_shard]),
-        Err(CheckpointError::ConfigMismatch {
-            field: "fingerprint",
-            ..
-        })
-    ));
-
     // Gap: [0, 30) + [45, 60).
     let quarter = shard_snapshot(&sim, total, 3, 4, 7);
     assert!(matches!(
@@ -183,10 +170,7 @@ fn merge_refuses_mismatched_shards() {
 
 #[test]
 fn default_block_tuning_is_bit_identical_to_scalar_for_both_engines() {
-    let scalar = SessionTuning {
-        block_draws: false,
-        ..SessionTuning::default()
-    };
+    let scalar = SessionTuning { block_draws: false };
     for bias in [
         BiasPolicy::None,
         BiasPolicy::HazardTilt {
@@ -194,7 +178,7 @@ fn default_block_tuning_is_bit_identical_to_scalar_for_both_engines() {
             latent_theta: 0.3,
         },
     ] {
-        // Discrete-event engine (default): blocked init draws.
+        // Discrete-event engine (default).
         let des_block = Simulator::new(base()).with_bias(bias);
         let des_scalar = Simulator::new(base()).with_bias(bias).with_tuning(scalar);
         assert_eq!(
@@ -203,7 +187,7 @@ fn default_block_tuning_is_bit_identical_to_scalar_for_both_engines() {
             "DES block path diverged from scalar under {bias:?}"
         );
 
-        // Pairwise-timeline engine: blocked phase-3 chain seeds.
+        // Pairwise-timeline engine.
         let tl_block = Simulator::new(base())
             .with_engine(Arc::new(TimelineEngine::new()))
             .with_bias(bias);
@@ -229,10 +213,10 @@ fn block_tuning_is_scheduling_invariant() {
 
 #[test]
 fn forced_critical_bias_stays_scalar_but_completes_under_block_tuning() {
-    // ForcedCritical draws are per-event and data-dependent; the block
-    // cursor must leave them untouched. The run completing with the
-    // same result as the explicit scalar tuning proves the block paths
-    // never desynchronize the stream.
+    // ForcedCritical draws are per-event and data-dependent, and take
+    // their raw words from the lookahead between grid draws. The run
+    // completing with the same result as direct RNG draws proves the
+    // lookahead never desynchronizes the stream.
     let bias = BiasPolicy::ForcedCritical {
         fraction: 0.3,
         window_hours: 48.0,
@@ -240,10 +224,7 @@ fn forced_critical_bias_stays_scalar_but_completes_under_block_tuning() {
     let block = Simulator::new(base()).with_bias(bias);
     let scalar = Simulator::new(base())
         .with_bias(bias)
-        .with_tuning(SessionTuning {
-            block_draws: false,
-            ..SessionTuning::default()
-        });
+        .with_tuning(SessionTuning { block_draws: false });
     assert_eq!(
         block.run_streaming(100, 13, 1),
         scalar.run_streaming(100, 13, 1)
@@ -251,16 +232,8 @@ fn forced_critical_bias_stays_scalar_but_completes_under_block_tuning() {
 }
 
 #[test]
-fn fast_math_changes_the_fingerprint_but_default_tuning_does_not() {
-    let exact = Simulator::new(base());
-    let fast = Simulator::new(base()).with_tuning(SessionTuning {
-        fast_math: true,
-        ..SessionTuning::default()
-    });
-    let scalar = Simulator::new(base()).with_tuning(SessionTuning {
-        block_draws: false,
-        ..SessionTuning::default()
-    });
-    assert_eq!(exact.run_fingerprint(), scalar.run_fingerprint());
-    assert_ne!(exact.run_fingerprint(), fast.run_fingerprint());
+fn session_tuning_does_not_change_the_fingerprint() {
+    let lookahead = Simulator::new(base());
+    let direct = Simulator::new(base()).with_tuning(SessionTuning { block_draws: false });
+    assert_eq!(lookahead.run_fingerprint(), direct.run_fingerprint());
 }

@@ -42,10 +42,7 @@
 //! `E` is `−ln(1 − u)` for the uniforms `rng_f64` produces. Those are
 //! `u = k·2⁻⁵³`, so `1 − u = (2⁵³ − k)·2⁻⁵³` is exact and `ln` loses
 //! nothing to `ln_1p`, at about half the cost. The warped variates of
-//! [`Tilt`] and [`Forcing`] are off that grid and keep `−ln_1p(−v)`;
-//! a block caller that warps its own uniforms hands them to
-//! [`SampleKernel::samples_from_warped`], not
-//! [`SampleKernel::samples_from_uniforms`], for the same reason.
+//! [`Tilt`] and [`Forcing`] are off that grid and keep `−ln_1p(−v)`.
 //! The root `h^(1/β)` is `h` itself for β = 1 and `exp(inv_β·ln h)`
 //! otherwise, a few ULPs from `powf` and markedly cheaper. The public
 //! `quantile`/`cdf`/`sf` keep `ln_1p` and `powf`: they take arbitrary
@@ -56,18 +53,23 @@
 //! checkpoints and cached results never mix two samplers' draws; a
 //! conformance suite (`tests/sampling_conformance.rs`) checks each draw
 //! form against the closed forms and pins the first draws per shape.
-//!
-//! Algebraic rewrites of the root — `sqrt` for `inv_β = 0.5`, squaring
-//! for `inv_β = 2` — are **excluded** from the exact path: they are
-//! faster but not bit-equal, so only [`MathMode::Fast`] takes them.
 //! The `kernel_equivalence` property suite enforces the contract for
 //! every variant over random parameters and seeds.
 //!
-//! The draw methods take the concrete [`SimRng`] rather than
-//! `&mut dyn Rng`, so the word draw inlines into the kernel; the
-//! composite and boxed arms hand it to their source objects as
-//! `&mut dyn Rng`. Uniforms on both paths come from one conversion
-//! (`rng_f64`), so the RNG type cannot change a draw.
+//! # Word sources
+//!
+//! The draw methods are generic over a [`WordSource`]: the concrete
+//! [`SimRng`], or a [`Lookahead`] that block-fills the next words of
+//! the same stream and precomputes their `E`. A grid draw (plain or
+//! conditional Weibull and exponential) takes the next word's `E`
+//! through [`WordSource::next_exp1`]; warped tilt/forced draws,
+//! lognormal draws and mixture selectors take the raw word; degenerate
+//! draws take nothing. The composite and boxed arms hand the source to
+//! their `dyn` objects as `&mut dyn Rng`, which reads the same words.
+//! Either source serves the words of one stream strictly in order with
+//! one conversion formula, so the source cannot change a draw; the
+//! `lookahead_equivalence` property suite checks that for every variant
+//! and draw form.
 //!
 //! # Lowering table
 //!
@@ -81,7 +83,9 @@
 //! | [`crate::CompetingRisks`] | [`SampleKernel::Competing`] | children lowered recursively; conditional delegates to the source object |
 //! | anything else | [`SampleKernel::Boxed`] | full fallback to the `dyn` methods (e.g. future empirical resampling distributions — [`crate::empirical`] currently defines estimators, not `LifeDistribution`s) |
 
-use crate::rng::SimRng;
+use crate::rng::WordSource;
+#[cfg(doc)]
+use crate::rng::{Lookahead, SimRng};
 use crate::weibull::{
     exp1_from_grid, exp1_from_warped, weibull_inv_cum_hazard, weibull_live_hazard,
     weibull_residual, weibull_window_mass,
@@ -233,27 +237,16 @@ impl Forcing {
     }
 }
 
-/// Numerical-evaluation mode for the block sampling paths.
+/// Numerical-evaluation mode of [`SampleKernel::samples_from_uniforms`].
 ///
-/// [`MathMode::Exact`] keeps every block draw bit-identical to the
-/// scalar path — the default everywhere; its Weibull root `h^(1/β)` is
-/// `h` for β = 1 and `exp(inv_β·ln h)` otherwise (see the module
-/// docs). [`MathMode::Fast`] permits algebraic rewrites of that root
-/// (`sqrt(h)` for `inv_β = 0.5`, `h·h` for `inv_β = 2`), trading
-/// bit-identity for throughput; the relative
-/// error per draw is bounded by a few ULPs (the equivalence suite
-/// enforces `< 1e-12` relative). Fast mode is opt-in (the CLI's
-/// `--fast-math`) and perturbs checkpoint fingerprints so exact and
-/// fast runs never mix — see DESIGN.md §18.
+/// [`MathMode::Exact`] — the only mode — evaluates the exact float-op
+/// sequence of the draw methods, so a transformed buffer is
+/// bit-identical to the draws the same uniforms would have produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MathMode {
-    /// Bit-identical float-op sequences — the block-draw contract.
+    /// Bit-identical float-op sequences.
     #[default]
     Exact,
-    /// Allow exponent-specializing rewrites of the root; results agree
-    /// with [`MathMode::Exact`] to within documented tolerance, not
-    /// bit-for-bit.
-    Fast,
 }
 
 /// A lifetime distribution lowered to a monomorphic sampling kernel.
@@ -262,17 +255,7 @@ pub enum MathMode {
 /// [`SampleKernel::sample`] / [`SampleKernel::sample_conditional`].
 /// Both are bit-identical to the `dyn LifeDistribution` methods they
 /// replace (see the module docs for the contract and the lowering
-/// table).
-///
-/// The `*_block` methods evaluate a whole buffer of draws at once:
-/// uniforms are filled first ([`crate::rng::fill_uniforms`], preserving
-/// RNG word order), warps are applied in scalar order (preserving
-/// log-weight accumulation order), and the pure inverse-CDF transform
-/// then runs as a dense loop the autovectorizer can lift. Under
-/// [`MathMode::Exact`] every block method consumes exactly the same RNG
-/// words and produces bit-identical `f64`s to the equivalent sequence
-/// of scalar calls — enforced per variant by the `kernel_equivalence`
-/// property suite.
+/// table), from either [`WordSource`].
 #[derive(Debug, Clone)]
 pub enum SampleKernel {
     /// Inlined three-parameter Weibull cumulative-hazard sampler with
@@ -359,21 +342,15 @@ impl SampleKernel {
 
     /// Draws one lifetime; bit-identical to
     /// [`LifeDistribution::sample`] on the source distribution.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+    pub fn sample<W: WordSource>(&self, rng: &mut W) -> f64 {
         match self {
             SampleKernel::Weibull3 {
                 gamma,
                 eta,
                 inv_beta,
                 ..
-            } => {
-                let e = exp1_from_grid(rng_f64(rng));
-                weibull_inv_cum_hazard(*gamma, *eta, *inv_beta, e, MathMode::Exact)
-            }
-            SampleKernel::Exponential { rate } => {
-                let u = rng_f64(rng);
-                -(1.0 - u).ln() / rate
-            }
+            } => weibull_inv_cum_hazard(*gamma, *eta, *inv_beta, rng.next_exp1()),
+            SampleKernel::Exponential { rate } => rng.next_exp1() / rate,
             SampleKernel::Lognormal { gamma, mu, sigma } => {
                 let u = rng_f64(rng);
                 lognormal_quantile(*gamma, *mu, *sigma, u)
@@ -406,7 +383,7 @@ impl SampleKernel {
     /// Draws a residual lifetime conditional on survival to `t0`;
     /// bit-identical to [`LifeDistribution::sample_conditional`] on the
     /// source distribution.
-    pub fn sample_conditional(&self, t0: f64, rng: &mut SimRng) -> f64 {
+    pub fn sample_conditional<W: WordSource>(&self, t0: f64, rng: &mut W) -> f64 {
         match self {
             SampleKernel::Weibull3 {
                 gamma,
@@ -418,14 +395,10 @@ impl SampleKernel {
                 let Some(h0) = weibull_live_hazard(*gamma, *eta, *beta, t0) else {
                     return 0.0;
                 };
-                let e = exp1_from_grid(rng_f64(rng));
-                weibull_residual(*gamma, *eta, *inv_beta, t0, h0 + e, MathMode::Exact)
+                weibull_residual(*gamma, *eta, *inv_beta, t0, h0 + rng.next_exp1())
             }
-            SampleKernel::Exponential { rate } => {
-                // Memorylessness, matching the dyn override.
-                let u = rng_f64(rng);
-                -(1.0 - u).ln() / rate
-            }
+            // Memorylessness, matching the dyn override.
+            SampleKernel::Exponential { rate } => rng.next_exp1() / rate,
             SampleKernel::Lognormal { gamma, mu, sigma } => {
                 // Trait-default inversion; Lognormal overrides cdf but
                 // not sf, so s0 is the default `(1 - cdf).max(0)` over
@@ -467,7 +440,12 @@ impl SampleKernel {
     ///   product over mechanisms;
     /// * `Boxed` falls back to the untilted `dyn` path with ratio 1 —
     ///   unknown families stay correct, just un-accelerated.
-    pub fn sample_tilted(&self, tilt: Tilt, log_weight: &mut f64, rng: &mut SimRng) -> f64 {
+    pub fn sample_tilted<W: WordSource>(
+        &self,
+        tilt: Tilt,
+        log_weight: &mut f64,
+        rng: &mut W,
+    ) -> f64 {
         match self {
             SampleKernel::Weibull3 {
                 gamma,
@@ -477,13 +455,7 @@ impl SampleKernel {
             } => {
                 let (v, lw) = tilt.warp(rng_f64(rng));
                 *log_weight += lw;
-                weibull_inv_cum_hazard(
-                    *gamma,
-                    *eta,
-                    *inv_beta,
-                    exp1_from_warped(v),
-                    MathMode::Exact,
-                )
+                weibull_inv_cum_hazard(*gamma, *eta, *inv_beta, exp1_from_warped(v))
             }
             SampleKernel::Exponential { rate } => {
                 let (v, lw) = tilt.warp(rng_f64(rng));
@@ -529,12 +501,12 @@ impl SampleKernel {
     /// [`Tilt::warp`]. Composite and boxed
     /// kernels fall back to the untilted `dyn` conditional (ratio 1),
     /// mirroring [`SampleKernel::sample_conditional`].
-    pub fn sample_conditional_tilted(
+    pub fn sample_conditional_tilted<W: WordSource>(
         &self,
         t0: f64,
         tilt: Tilt,
         log_weight: &mut f64,
-        rng: &mut SimRng,
+        rng: &mut W,
     ) -> f64 {
         match self {
             SampleKernel::Weibull3 {
@@ -549,7 +521,7 @@ impl SampleKernel {
                 let (v, lw) = tilt.warp(rng_f64(rng));
                 *log_weight += lw;
                 let h = h0 + exp1_from_warped(v);
-                weibull_residual(*gamma, *eta, *inv_beta, t0, h, MathMode::Exact)
+                weibull_residual(*gamma, *eta, *inv_beta, t0, h)
             }
             SampleKernel::Exponential { rate } => {
                 let (v, lw) = tilt.warp(rng_f64(rng));
@@ -589,13 +561,13 @@ impl SampleKernel {
     /// composite and boxed kernels fall back to the untilted `dyn`
     /// conditional with ratio 1, mirroring
     /// [`SampleKernel::sample_conditional_tilted`].
-    pub fn sample_conditional_forced(
+    pub fn sample_conditional_forced<W: WordSource>(
         &self,
         t0: f64,
         window: f64,
         forcing: Forcing,
         log_weight: &mut f64,
-        rng: &mut SimRng,
+        rng: &mut W,
     ) -> f64 {
         match self {
             SampleKernel::Weibull3 {
@@ -611,7 +583,7 @@ impl SampleKernel {
                 let (v, lw) = forcing.warp(rng_f64(rng), q);
                 *log_weight += lw;
                 let h = h0 + exp1_from_warped(v);
-                weibull_residual(*gamma, *eta, *inv_beta, t0, h, MathMode::Exact)
+                weibull_residual(*gamma, *eta, *inv_beta, t0, h)
             }
             SampleKernel::Exponential { rate } => {
                 // Memorylessness: the residual is Exponential(rate) and
@@ -640,42 +612,20 @@ impl SampleKernel {
         }
     }
 
-    /// How many RNG words one draw from this kernel consumes, when that
-    /// count is a constant: `Some(1)` for the quantile families
-    /// (`Weibull3`, `Exponential`, `Lognormal`), `Some(0)` for
-    /// `Degenerate`, and `None` for the composite and boxed kernels,
-    /// whose consumption depends on the drawn values.
-    ///
-    /// Block consumers use this to decide eligibility: only kernels
-    /// with a fixed word count can be pre-filled from a shared uniform
-    /// buffer without shifting later draws in the stream.
-    pub fn words_per_sample(&self) -> Option<usize> {
-        match self {
-            SampleKernel::Weibull3 { .. }
-            | SampleKernel::Exponential { .. }
-            | SampleKernel::Lognormal { .. } => Some(1),
-            SampleKernel::Degenerate { .. } => Some(0),
-            SampleKernel::Mixture { .. }
-            | SampleKernel::Competing { .. }
-            | SampleKernel::Boxed { .. } => None,
-        }
-    }
-
-    /// Transforms a buffer of unit uniforms into lifetimes **in
-    /// place** — the dense, pure half of a block draw. Element `i` of
-    /// the output is exactly what [`SampleKernel::sample`] would have
-    /// produced from uniform `us[i]` (under [`MathMode::Exact`],
-    /// bit-for-bit).
-    ///
-    /// Only defined for kernels with a fixed word count
-    /// ([`SampleKernel::words_per_sample`] `!= None`): `Degenerate`
-    /// ignores the buffer contents and fills its point of support.
+    /// Transforms a buffer of grid uniforms into lifetimes **in
+    /// place**, as a dense loop with no RNG access: the pure inverse
+    /// transform of a draw, for timing it apart from word generation.
+    /// Element `i` of the output is exactly what
+    /// [`SampleKernel::sample`] would have produced from a word whose
+    /// uniform is `us[i]`, bit for bit. `Degenerate` ignores the buffer
+    /// contents and fills its point of support.
     ///
     /// # Panics
     ///
     /// Panics on composite or boxed kernels, whose draws cannot be
     /// expressed as a pure transform of pre-filled uniforms.
     pub fn samples_from_uniforms(&self, mode: MathMode, us: &mut [f64]) {
+        let MathMode::Exact = mode;
         match self {
             SampleKernel::Weibull3 {
                 gamma,
@@ -684,12 +634,12 @@ impl SampleKernel {
                 ..
             } => {
                 for u in us.iter_mut() {
-                    *u = weibull_inv_cum_hazard(*gamma, *eta, *inv_beta, exp1_from_grid(*u), mode);
+                    *u = weibull_inv_cum_hazard(*gamma, *eta, *inv_beta, exp1_from_grid(*u));
                 }
             }
             SampleKernel::Exponential { rate } => {
                 for u in us.iter_mut() {
-                    *u = -(1.0 - *u).ln() / rate;
+                    *u = exp1_from_grid(*u) / rate;
                 }
             }
             SampleKernel::Lognormal { gamma, mu, sigma } => {
@@ -705,304 +655,6 @@ impl SampleKernel {
                  (no fixed uniform-to-sample transform)",
                 self.variant_name()
             ),
-        }
-    }
-
-    /// Transforms a buffer of **warped** uniforms (the `v` of
-    /// [`Tilt::warp`]) into lifetimes in place. Element `i` of the output
-    /// is exactly what [`SampleKernel::sample_tilted`] would have
-    /// produced from a draw whose warp returned `vs[i]` (under
-    /// [`MathMode::Exact`], bit-for-bit).
-    ///
-    /// Warped variates are off the `rng_f64` grid, so the Weibull arm
-    /// takes its `Exp(1)` variate as `−ln_1p(−v)` rather than the grid
-    /// form `−ln(1 − u)` of [`SampleKernel::samples_from_uniforms`];
-    /// every other family shares that method's transform.
-    ///
-    /// # Panics
-    ///
-    /// Panics on composite or boxed kernels, like
-    /// [`SampleKernel::samples_from_uniforms`].
-    pub fn samples_from_warped(&self, mode: MathMode, vs: &mut [f64]) {
-        match self {
-            SampleKernel::Weibull3 {
-                gamma,
-                eta,
-                inv_beta,
-                ..
-            } => {
-                for v in vs.iter_mut() {
-                    *v =
-                        weibull_inv_cum_hazard(*gamma, *eta, *inv_beta, exp1_from_warped(*v), mode);
-                }
-            }
-            _ => self.samples_from_uniforms(mode, vs),
-        }
-    }
-
-    /// Fills `out` with draws; equivalent to calling
-    /// [`SampleKernel::sample`] once per element. Under
-    /// [`MathMode::Exact`] the block consumes the same RNG words and
-    /// produces bit-identical `f64`s as the scalar loop.
-    ///
-    /// Quantile families fill their uniforms up front and then run the
-    /// dense transform; `Degenerate` consumes no words; composite and
-    /// boxed kernels fall back to the scalar loop (their word count is
-    /// data-dependent).
-    pub fn sample_block(&self, mode: MathMode, rng: &mut SimRng, out: &mut [f64]) {
-        match self.words_per_sample() {
-            Some(1) => {
-                crate::rng::fill_uniforms(rng, out);
-                self.samples_from_uniforms(mode, out);
-            }
-            Some(_) => self.samples_from_uniforms(mode, out),
-            None => {
-                for o in out.iter_mut() {
-                    *o = self.sample(rng);
-                }
-            }
-        }
-    }
-
-    /// Fills `out` with residual lifetimes conditional on survival to
-    /// `t0`; equivalent to calling [`SampleKernel::sample_conditional`]
-    /// once per element, with the per-call invariants (`H(t0)`, or
-    /// `S(t0)` and `F(t0)`) hoisted once per block. Under
-    /// [`MathMode::Exact`] the block is bit-identical to the scalar loop.
-    pub fn sample_conditional_block(
-        &self,
-        mode: MathMode,
-        t0: f64,
-        rng: &mut SimRng,
-        out: &mut [f64],
-    ) {
-        match self {
-            SampleKernel::Weibull3 {
-                gamma,
-                eta,
-                beta,
-                inv_beta,
-            } => {
-                let Some(h0) = weibull_live_hazard(*gamma, *eta, *beta, t0) else {
-                    // The scalar path returns 0.0 without consuming a
-                    // word; replicate that for every element.
-                    out.fill(0.0);
-                    return;
-                };
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let h = h0 + exp1_from_grid(*u);
-                    *u = weibull_residual(*gamma, *eta, *inv_beta, t0, h, mode);
-                }
-            }
-            SampleKernel::Exponential { rate } => {
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    *u = -(1.0 - *u).ln() / rate;
-                }
-            }
-            SampleKernel::Lognormal { gamma, mu, sigma } => {
-                let f0 = lognormal_cdf(*gamma, *mu, *sigma, t0);
-                let s0 = (1.0 - f0).max(0.0);
-                if s0 <= 0.0 {
-                    out.fill(0.0);
-                    return;
-                }
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let p = f0 + *u * s0;
-                    *u = (lognormal_quantile(*gamma, *mu, *sigma, p) - t0).max(0.0);
-                }
-            }
-            SampleKernel::Degenerate { value } => out.fill((value - t0).max(0.0)),
-            SampleKernel::Mixture { source, .. }
-            | SampleKernel::Competing { source, .. }
-            | SampleKernel::Boxed { source } => {
-                for o in out.iter_mut() {
-                    *o = source.sample_conditional(t0, rng);
-                }
-            }
-        }
-    }
-
-    /// Fills `out` with tilted draws, accumulating each draw's
-    /// log-likelihood-ratio into `log_weight` in element order;
-    /// equivalent to calling [`SampleKernel::sample_tilted`] once per
-    /// element. Under [`MathMode::Exact`] the block is bit-identical to
-    /// the scalar loop: uniforms are filled in stream order, warps run
-    /// in element order (so the log-weight sum associates identically),
-    /// and the pure quantile transform is hoisted into a dense pass.
-    pub fn sample_tilted_block(
-        &self,
-        mode: MathMode,
-        tilt: Tilt,
-        log_weight: &mut f64,
-        rng: &mut SimRng,
-        out: &mut [f64],
-    ) {
-        match self {
-            SampleKernel::Weibull3 { .. }
-            | SampleKernel::Exponential { .. }
-            | SampleKernel::Lognormal { .. } => {
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let (v, lw) = tilt.warp(*u);
-                    *log_weight += lw;
-                    *u = v;
-                }
-                self.samples_from_warped(mode, out);
-            }
-            SampleKernel::Degenerate { value } => out.fill(*value),
-            SampleKernel::Mixture { .. } | SampleKernel::Competing { .. } => {
-                for o in out.iter_mut() {
-                    *o = self.sample_tilted(tilt, log_weight, rng);
-                }
-            }
-            SampleKernel::Boxed { source } => {
-                for o in out.iter_mut() {
-                    *o = source.sample(rng);
-                }
-            }
-        }
-    }
-
-    /// Fills `out` with tilted conditional draws; equivalent to calling
-    /// [`SampleKernel::sample_conditional_tilted`] once per element,
-    /// with `H(t0)` (or `S(t0)`/`F(t0)`) hoisted once per block.
-    /// Bit-identical to the scalar loop under [`MathMode::Exact`].
-    pub fn sample_conditional_tilted_block(
-        &self,
-        mode: MathMode,
-        t0: f64,
-        tilt: Tilt,
-        log_weight: &mut f64,
-        rng: &mut SimRng,
-        out: &mut [f64],
-    ) {
-        match self {
-            SampleKernel::Weibull3 {
-                gamma,
-                eta,
-                beta,
-                inv_beta,
-            } => {
-                let Some(h0) = weibull_live_hazard(*gamma, *eta, *beta, t0) else {
-                    out.fill(0.0);
-                    return;
-                };
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let (v, lw) = tilt.warp(*u);
-                    *log_weight += lw;
-                    let h = h0 + exp1_from_warped(v);
-                    *u = weibull_residual(*gamma, *eta, *inv_beta, t0, h, mode);
-                }
-            }
-            SampleKernel::Exponential { rate } => {
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let (v, lw) = tilt.warp(*u);
-                    *log_weight += lw;
-                    *u = -(1.0 - v).ln() / rate;
-                }
-            }
-            SampleKernel::Lognormal { gamma, mu, sigma } => {
-                let f0 = lognormal_cdf(*gamma, *mu, *sigma, t0);
-                let s0 = (1.0 - f0).max(0.0);
-                if s0 <= 0.0 {
-                    out.fill(0.0);
-                    return;
-                }
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let (v, lw) = tilt.warp(*u);
-                    *log_weight += lw;
-                    let p = f0 + v * s0;
-                    *u = (lognormal_quantile(*gamma, *mu, *sigma, p) - t0).max(0.0);
-                }
-            }
-            SampleKernel::Degenerate { value } => out.fill((value - t0).max(0.0)),
-            SampleKernel::Mixture { source, .. }
-            | SampleKernel::Competing { source, .. }
-            | SampleKernel::Boxed { source } => {
-                for o in out.iter_mut() {
-                    *o = source.sample_conditional(t0, rng);
-                }
-            }
-        }
-    }
-
-    /// Fills `out` with forced conditional draws; equivalent to calling
-    /// [`SampleKernel::sample_conditional_forced`] once per element,
-    /// with `H(t0)` (or `S(t0)`/`F(t0)`) and the window mass `q` hoisted
-    /// once per block.
-    /// Bit-identical to the scalar loop under [`MathMode::Exact`].
-    // Mirrors `sample_conditional_forced` plus the block mode/buffer;
-    // bundling the forcing args would diverge the two signatures.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_conditional_forced_block(
-        &self,
-        mode: MathMode,
-        t0: f64,
-        window: f64,
-        forcing: Forcing,
-        log_weight: &mut f64,
-        rng: &mut SimRng,
-        out: &mut [f64],
-    ) {
-        match self {
-            SampleKernel::Weibull3 {
-                gamma,
-                eta,
-                beta,
-                inv_beta,
-            } => {
-                let Some(h0) = weibull_live_hazard(*gamma, *eta, *beta, t0) else {
-                    out.fill(0.0);
-                    return;
-                };
-                let q = weibull_window_mass(*gamma, *eta, *beta, t0, window, h0);
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let (v, lw) = forcing.warp(*u, q);
-                    *log_weight += lw;
-                    let h = h0 + exp1_from_warped(v);
-                    *u = weibull_residual(*gamma, *eta, *inv_beta, t0, h, mode);
-                }
-            }
-            SampleKernel::Exponential { rate } => {
-                let q = -(-rate * window).exp_m1();
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let (v, lw) = forcing.warp(*u, q);
-                    *log_weight += lw;
-                    *u = -(1.0 - v).ln() / rate;
-                }
-            }
-            SampleKernel::Lognormal { gamma, mu, sigma } => {
-                let f0 = lognormal_cdf(*gamma, *mu, *sigma, t0);
-                let s0 = (1.0 - f0).max(0.0);
-                if s0 <= 0.0 {
-                    out.fill(0.0);
-                    return;
-                }
-                let q = (lognormal_cdf(*gamma, *mu, *sigma, t0 + window) - f0) / s0;
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let (v, lw) = forcing.warp(*u, q);
-                    *log_weight += lw;
-                    let p = f0 + v * s0;
-                    *u = (lognormal_quantile(*gamma, *mu, *sigma, p) - t0).max(0.0);
-                }
-            }
-            SampleKernel::Degenerate { value } => out.fill((value - t0).max(0.0)),
-            SampleKernel::Mixture { source, .. }
-            | SampleKernel::Competing { source, .. }
-            | SampleKernel::Boxed { source } => {
-                for o in out.iter_mut() {
-                    *o = source.sample_conditional(t0, rng);
-                }
-            }
         }
     }
 }
@@ -1265,7 +917,7 @@ mod tests {
                         ..
                     } => {
                         let h = exp1_from_warped(v);
-                        weibull_inv_cum_hazard(gamma, eta, inv_beta, h, MathMode::Exact)
+                        weibull_inv_cum_hazard(gamma, eta, inv_beta, h)
                     }
                     _ => d.quantile(v),
                 };
@@ -1362,7 +1014,7 @@ mod tests {
             // `H(t0) + E` is the cumulative hazard at the conditional
             // uniform `p = F(t0) + v·S(t0)`.
             let h = d.cum_hazard(t0) + exp1_from_warped(v);
-            let want = weibull_residual(6.0, 12.0, 0.5, t0, h, MathMode::Exact);
+            let want = weibull_residual(6.0, 12.0, 0.5, t0, h);
             assert_eq!(x.to_bits(), want.to_bits());
             let p = d.cdf(t0) + v * (1.0 - d.cdf(t0));
             assert!((x - (d.quantile(p) - t0)).abs() <= 1e-12 * d.quantile(p));
@@ -1481,7 +1133,7 @@ mod tests {
             let x = k.sample_conditional_forced(t0, window, forcing, &mut lw, &mut a);
             let (v, want_lw) = forcing.warp(rng_f64(&mut b), q);
             let h = h0 + exp1_from_warped(v);
-            let want = weibull_residual(6.0, 12.0, 0.5, t0, h, MathMode::Exact);
+            let want = weibull_residual(6.0, 12.0, 0.5, t0, h);
             assert_eq!(x.to_bits(), want.to_bits());
             let p = f0 + v * s0;
             assert!((x - (d.quantile(p) - t0)).abs() <= 1e-12 * d.quantile(p));

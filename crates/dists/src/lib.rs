@@ -195,8 +195,14 @@ pub trait LifeDistribution: std::fmt::Debug + Send + Sync {
 /// serves both.
 #[inline]
 pub(crate) fn rng_f64<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    // 53 random mantissa bits, the standard conversion used by `rand`.
-    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    grid_uniform(rng.next_u64())
+}
+
+/// The grid uniform `k·2⁻⁵³` of one RNG word: its 53 high bits, the
+/// standard conversion used by `rand`.
+#[inline]
+pub(crate) fn grid_uniform(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]

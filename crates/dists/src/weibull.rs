@@ -1,4 +1,3 @@
-use crate::kernel::MathMode;
 use crate::special::{weibull_mean, weibull_variance};
 use crate::{rng_f64, DistError, LifeDistribution, SampleKernel};
 use rand::Rng;
@@ -218,7 +217,7 @@ impl LifeDistribution for Weibull3 {
 
     fn sample(&self, rng: &mut dyn Rng) -> f64 {
         let e = exp1_from_grid(rng_f64(rng));
-        weibull_inv_cum_hazard(self.gamma, self.eta, 1.0 / self.beta, e, MathMode::Exact)
+        weibull_inv_cum_hazard(self.gamma, self.eta, 1.0 / self.beta, e)
     }
 
     fn sample_conditional(&self, t0: f64, rng: &mut dyn Rng) -> f64 {
@@ -226,14 +225,7 @@ impl LifeDistribution for Weibull3 {
             return 0.0;
         };
         let e = exp1_from_grid(rng_f64(rng));
-        weibull_residual(
-            self.gamma,
-            self.eta,
-            1.0 / self.beta,
-            t0,
-            h0 + e,
-            MathMode::Exact,
-        )
+        weibull_residual(self.gamma, self.eta, 1.0 / self.beta, t0, h0 + e)
     }
 
     fn lower_kernel(&self) -> Option<SampleKernel> {
@@ -290,22 +282,10 @@ pub(crate) fn weibull_live_hazard(gamma: f64, eta: f64, beta: f64, t0: f64) -> O
 /// The root is `h` itself for β = 1 and `exp(inv_β·ln h)` otherwise:
 /// two transcendentals that together cost less than one `powf`, with a
 /// relative error of a few ULPs over the `h` a sampler produces.
-/// [`MathMode::Fast`] additionally takes `sqrt(h)` for `inv_β = 0.5`
-/// and `h·h` for `inv_β = 2`.
 #[inline]
-pub(crate) fn weibull_inv_cum_hazard(
-    gamma: f64,
-    eta: f64,
-    inv_beta: f64,
-    h: f64,
-    mode: MathMode,
-) -> f64 {
+pub(crate) fn weibull_inv_cum_hazard(gamma: f64, eta: f64, inv_beta: f64, h: f64) -> f64 {
     let root = if inv_beta == 1.0 {
         h
-    } else if mode == MathMode::Fast && inv_beta == 0.5 {
-        h.sqrt()
-    } else if mode == MathMode::Fast && inv_beta == 2.0 {
-        h * h
     } else {
         (inv_beta * h.ln()).exp()
     };
@@ -316,15 +296,8 @@ pub(crate) fn weibull_inv_cum_hazard(
 /// hazard `h = H(t0) + E`; clamped at 0 against the rounding of
 /// `H⁻¹(H(t0))` back to `t0`.
 #[inline]
-pub(crate) fn weibull_residual(
-    gamma: f64,
-    eta: f64,
-    inv_beta: f64,
-    t0: f64,
-    h: f64,
-    mode: MathMode,
-) -> f64 {
-    (weibull_inv_cum_hazard(gamma, eta, inv_beta, h, mode) - t0).max(0.0)
+pub(crate) fn weibull_residual(gamma: f64, eta: f64, inv_beta: f64, t0: f64, h: f64) -> f64 {
+    (weibull_inv_cum_hazard(gamma, eta, inv_beta, h) - t0).max(0.0)
 }
 
 /// Conditional window mass `q = 1 − exp(−(H(t0 + w) − H(t0)))`: the

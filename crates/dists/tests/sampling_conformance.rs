@@ -34,8 +34,8 @@
 //! must bump that version, which moves every run fingerprint.
 
 use raidsim_dists::empirical::Ecdf;
-use raidsim_dists::kernel::{Forcing, MathMode, Tilt};
-use raidsim_dists::rng::{stream, SimRng};
+use raidsim_dists::kernel::{Forcing, Tilt};
+use raidsim_dists::rng::{stream, Lookahead, SimRng};
 use raidsim_dists::special::{gamma, inv_std_normal};
 use raidsim_dists::{LifeDistribution, SampleKernel, Weibull3, SAMPLER_VERSION};
 use std::sync::Arc;
@@ -296,13 +296,13 @@ fn deep_tail_conditional_draws_are_proper_residuals() {
     let forcing = Forcing::new(0.25).unwrap();
     let close = |x: f64, e: f64| x > 0.0 && (x - 100.0 * e).abs() <= 1e-9 * (1.0 + 100.0 * e);
     for t0 in [4_000.0, 80_000.0] {
-        let mut block = [0.0f64; 64];
-        k.sample_conditional_block(MathMode::Exact, t0, &mut stream(5, 0), &mut block);
-        let (mut a, mut b, mut us) = (stream(5, 0), stream(5, 0), stream(5, 0));
-        for &from_block in &block {
+        let (mut a, mut b, mut c, mut us) =
+            (stream(5, 0), stream(5, 0), stream(5, 0), stream(5, 0));
+        let mut words = Lookahead::new(&mut c);
+        for _ in 0..64 {
             let x = d.sample_conditional(t0, &mut a);
             assert_eq!(x.to_bits(), k.sample_conditional(t0, &mut b).to_bits());
-            assert_eq!(x.to_bits(), from_block.to_bits());
+            assert_eq!(x.to_bits(), k.sample_conditional(t0, &mut words).to_bits());
             let e = -(1.0 - uniform(&mut us)).ln();
             assert!(close(x, e), "conditional at {t0}: {x}, want {}", 100.0 * e);
         }

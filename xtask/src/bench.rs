@@ -30,8 +30,8 @@
 //! counts are trajectory data, never pass/fail.
 //!
 //! Schema 3 of `BENCH_parallel.json` additionally carries a
-//! per-configuration `block_check` that must attest the block-drawn
-//! sampling path bit-identical to the scalar one, and the driver
+//! per-configuration `block_check` that must attest the default
+//! lookahead draws bit-identical to direct RNG draws, and the driver
 //! finishes with an end-to-end shard-scatter/merge round trip through
 //! the release CLI: two `--shard` snapshots merged must be byte-equal
 //! to the unsharded checkpointed run.
@@ -306,7 +306,7 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 
 /// Machine-independent invariants over the benchmark document: the
 /// schema version, the per-configuration `block_check` attestation that
-/// block-drawn sampling was bit-identical to the scalar path, exact
+/// lookahead draws were bit-identical to direct RNG draws, exact
 /// worker spawn counts (the pool spawns once per run; the serial path
 /// never spawns), and an allocation-free steady state. Timing fields
 /// are never judged here — they are trajectory data, not pass/fail
