@@ -167,8 +167,8 @@ fn main() {
         "  \"note\": \"timings reflect whatever CPU budget the host grants \
          ({host_threads} hardware thread(s) here); on a 1-CPU container the \
          multi-thread ladder measures scheduling overhead, not speedup, and \
-         lookahead-vs-direct (block_check) deltas are noisy — per_group_ns and speedup are \
-         trajectory data, never pass/fail\","
+         lookahead-vs-direct (block_check) deltas are noisy — per_group_ns \
+         and speedup are trajectory data, never pass/fail\","
     );
     let _ = writeln!(json, "  \"groups\": {n_groups},");
     let _ = writeln!(

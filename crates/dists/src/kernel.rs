@@ -59,8 +59,9 @@
 //! # Word sources
 //!
 //! The draw methods are generic over a [`WordSource`]: the concrete
-//! [`SimRng`], or a [`Lookahead`] that block-fills the next words of
-//! the same stream and precomputes their `E`. A grid draw (plain or
+//! [`SimRng`](crate::rng::SimRng), or a
+//! [`Lookahead`](crate::rng::Lookahead) that block-fills the next words
+//! of the same stream and precomputes their `E`. A grid draw (plain or
 //! conditional Weibull and exponential) takes the next word's `E`
 //! through [`WordSource::next_exp1`]; warped tilt/forced draws,
 //! lognormal draws and mixture selectors take the raw word; degenerate
@@ -84,8 +85,6 @@
 //! | anything else | [`SampleKernel::Boxed`] | full fallback to the `dyn` methods (e.g. future empirical resampling distributions — [`crate::empirical`] currently defines estimators, not `LifeDistribution`s) |
 
 use crate::rng::WordSource;
-#[cfg(doc)]
-use crate::rng::{Lookahead, SimRng};
 use crate::weibull::{
     exp1_from_grid, exp1_from_warped, weibull_inv_cum_hazard, weibull_live_hazard,
     weibull_residual, weibull_window_mass,

@@ -53,7 +53,7 @@ pub fn stream(master: u64, index: u64) -> SimRng {
 /// Element `i` is bit-identical to the `i`-th scalar uniform the
 /// sampling kernels would have drawn from the same RNG state (the
 /// 53-bit `next_u64` conversion).
-pub fn fill_uniforms<R: rand::Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
+pub fn fill_uniforms<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
     for u in out.iter_mut() {
         *u = crate::rng_f64(rng);
     }

@@ -287,22 +287,3 @@ proptest! {
         assert_lookahead_matches_direct(&cases, seed, &steps);
     }
 }
-
-/// The lookahead's counters: every word it read is either used or
-/// discarded read-ahead, and the read-ahead stays below one refill.
-#[test]
-fn lookahead_counts_its_words_exactly() {
-    let d: Arc<dyn LifeDistribution> = Arc::new(Weibull3::new(0.0, 100.0, 1.5).unwrap());
-    let k = SampleKernel::lower(&d);
-    for draws in [0u64, 1, 15, 16, 17, 100] {
-        let mut rng = stream(31, draws);
-        let mut words = Lookahead::new(&mut rng);
-        for _ in 0..draws {
-            k.sample(&mut words);
-        }
-        assert_eq!(words.words_used(), draws);
-        let filled = words.words_filled();
-        assert_eq!(filled % LOOKAHEAD_WORDS as u64, 0);
-        assert!(filled >= draws && filled - draws < LOOKAHEAD_WORDS as u64);
-    }
-}
