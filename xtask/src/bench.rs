@@ -31,7 +31,7 @@
 //!
 //! Schema 3 of `BENCH_parallel.json` additionally carries a
 //! per-configuration `block_check` that must attest the default
-//! lookahead draws bit-identical to direct RNG draws, and the driver
+//! lookahead draws bit-identical to direct RNG draws, and `bench`
 //! finishes with an end-to-end shard-scatter/merge round trip through
 //! the release CLI: two `--shard` snapshots merged must be byte-equal
 //! to the unsharded checkpointed run.
