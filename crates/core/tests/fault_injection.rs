@@ -16,15 +16,24 @@
 //! per-group panic in stream mode must quarantine the same group with
 //! the same aggregates at every thread count; a sticky panic (every
 //! worker that touches the group dies) must escalate to the
-//! coordinator's clean abort.
+//! coordinator's clean abort. The fused-sweep legs repeat the
+//! supervision checks across scenario boundaries: a death whose redone
+//! range spans two scenarios, a per-scenario quarantine list that is
+//! independent of the thread count, and a quarantined scenario that the
+//! result cache refuses to store.
 
 use raidsim_core::checkpoint::{CheckpointError, DriverState, SimCheckpoint};
 use raidsim_core::config::RaidGroupConfig;
 use raidsim_core::engine::{DesEngine, Engine};
 use raidsim_core::events::{CheckpointDegraded, GroupHistory, QuarantinedGroup};
-use raidsim_core::run::{CheckpointPlan, EveryGroups, RunControl, Simulator, StreamObserver};
+use raidsim_core::run::{
+    CheckpointPlan, EveryGroups, FusedSweep, RunControl, Simulator, StreamObserver,
+};
+use raidsim_core::stats::StreamStats;
 use raidsim_core::store::{AttemptBudget, FaultKind, FaultPlan, FaultStore, MemStore};
+use raidsim_core::sweep::{SweepCache, SweepScenario};
 use raidsim_dists::rng::{stream, SimRng};
+use raidsim_hdd::scrub::ScrubPolicy;
 use rand::Rng;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -475,4 +484,142 @@ fn sticky_collect_mode_panic_escalates_to_a_clean_abort() {
         message.contains("simulation worker panicked"),
         "the abort must carry the supervision message, got {message:?}"
     );
+}
+
+/// Three rungs of the paper's scrub ladder, one seed each.
+fn scrub_ladder(seeds: [u64; 3]) -> Vec<SweepScenario> {
+    [336.0, 168.0, 48.0]
+        .into_iter()
+        .zip(seeds)
+        .enumerate()
+        .map(|(k, (hours, seed))| {
+            let cfg = base()
+                .with_scrub_policy(ScrubPolicy::with_characteristic_hours(hours))
+                .unwrap();
+            SweepScenario::new(format!("s{k}"), cfg, seed)
+        })
+        .collect()
+}
+
+fn encode(stats: &StreamStats) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    stats.encode_into(&mut bytes);
+    bytes
+}
+
+/// Collect-mode supervision across scenario boundaries: one worker of a
+/// fused sweep dies on its first group and the survivor redoes the dead
+/// worker's claimed ranges. 13 groups per scenario under a claim batch
+/// of 2 put a claim boundary inside the run at every scenario seam, so
+/// a redone range may start in one scenario and end in the next. The
+/// histories must equal an undisturbed single-threaded sweep.
+#[test]
+fn fused_collect_mode_worker_death_redoes_the_remainder_bit_identically() {
+    let groups = 13;
+    let scenarios = scrub_ladder([61, 62, 63]);
+    let reference = FusedSweep::new(scenarios.clone()).run_collect(groups, 1);
+    let engine = Arc::new(PanicOnce::new());
+    let survived = FusedSweep::new(scenarios)
+        .with_engine(engine.clone())
+        .with_claim_batch(2)
+        .run_collect(groups, 2);
+    assert!(
+        !engine.armed.load(Ordering::SeqCst),
+        "the injected panic must have fired"
+    );
+    assert_eq!(
+        survived, reference,
+        "redone work diverged from the reference"
+    );
+}
+
+/// Stream-mode quarantine in a fused sweep is deterministic: scenarios
+/// 0 and 1 share the marker's seed, so each quarantines its local group
+/// 31 and nothing else, and the list and every aggregate are the same
+/// at 1, 2 and 3 threads.
+#[test]
+fn fused_stream_mode_quarantine_is_identical_across_thread_counts() {
+    let groups = 40;
+    let target = 31u64;
+    let scenarios = scrub_ladder([67, 67, 70]);
+    let mut legs = Vec::new();
+    for threads in [1usize, 2, 3] {
+        let report = FusedSweep::new(scenarios.clone())
+            .with_engine(Arc::new(PanicOnMarker::new(67, target)))
+            .with_claim_batch(2)
+            .run_streaming(groups, threads);
+        let list: Vec<(usize, u64)> = report
+            .quarantined
+            .iter()
+            .map(|(s, q)| (*s, q.index))
+            .collect();
+        assert_eq!(
+            list,
+            vec![(0, target), (1, target)],
+            "{threads} thread(s): exactly the marked groups are quarantined"
+        );
+        assert!(report
+            .quarantined
+            .iter()
+            .all(|(_, q)| q.message.contains("injected sticky panic")));
+        let counts: Vec<u64> = report.results.iter().map(|(_, s)| s.groups()).collect();
+        assert_eq!(
+            counts,
+            vec![groups as u64 - 1, groups as u64 - 1, groups as u64]
+        );
+        legs.push(
+            report
+                .results
+                .iter()
+                .map(|(_, s)| encode(s))
+                .collect::<Vec<_>>(),
+        );
+    }
+    assert_eq!(legs[0], legs[1], "1 and 2 threads diverged");
+    assert_eq!(legs[0], legs[2], "1 and 3 threads diverged");
+}
+
+/// A quarantined scenario's aggregate covers fewer groups than its key
+/// claims, so the result cache must refuse it: the clean scenarios are
+/// cached, the tainted one is not, and an in-sweep duplicate of the
+/// tainted scenario replays its sibling byte-equal without counting as
+/// a cache hit.
+#[test]
+fn fused_sweep_refuses_to_cache_a_quarantined_scenario() {
+    let groups = 40;
+    let seeds = [67, 70, 71];
+    let mut scenarios = scrub_ladder(seeds);
+    let mut repeat = scenarios[0].clone();
+    repeat.label = "repeat".to_string();
+    scenarios.push(repeat);
+    let sweep = FusedSweep::new(scenarios).with_engine(Arc::new(PanicOnMarker::new(67, 31)));
+    for threads in [1usize, 2] {
+        let mut cache = SweepCache::new();
+        let report = sweep.run_streaming_cached(groups, threads, &mut cache);
+        assert_eq!(report.simulated, 3, "{threads} thread(s)");
+        assert_eq!(report.cache_hits, 0, "a tainted sibling is not a cache hit");
+        let list: Vec<(usize, u64)> = report
+            .quarantined
+            .iter()
+            .map(|(s, q)| (*s, q.index))
+            .collect();
+        assert_eq!(list, vec![(0, 31)]);
+        assert_eq!(
+            encode(&report.results[3].1),
+            encode(&report.results[0].1),
+            "the duplicate replays its tainted sibling byte-equal"
+        );
+        assert_eq!(cache.len(), 2, "only the clean scenarios are cached");
+        let key = |k: usize| (sweep.scenario_fingerprint(k), groups as u64, seeds[k]);
+        let (fp, g, seed) = key(0);
+        assert!(
+            cache.lookup(fp, g, seed).is_none(),
+            "tainted scenario cached"
+        );
+        for k in 1..3 {
+            let (fp, g, seed) = key(k);
+            let cached = cache.lookup(fp, g, seed).expect("clean scenario cached");
+            assert_eq!(encode(&cached), encode(&report.results[k].1));
+        }
+    }
 }
