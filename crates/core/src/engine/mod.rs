@@ -325,10 +325,11 @@ pub trait Engine: std::fmt::Debug + Send + Sync {
 
     /// [`Engine::session_tuned`] with memoized kernel lowering.
     ///
-    /// A fused sweep opens one session per (worker, scenario); engines
-    /// that lower `dyn LifeDistribution` trees into [`SampleKernel`]s
-    /// route the lowering through `kernels` so each distinct tree
-    /// (by `Arc` identity) lowers once per worker per sweep. Cached
+    /// The runners open every session through this method, one per
+    /// (worker, scenario) with one cache per worker; engines that lower
+    /// `dyn LifeDistribution` trees into [`SampleKernel`]s route the
+    /// lowering through `kernels` so each distinct tree (by `Arc`
+    /// identity) lowers once per worker per run. Cached
     /// lowering returns clones of the same kernels a fresh lowering
     /// would build, so the session is draw-for-draw bit-identical to
     /// [`Engine::session_tuned`]'s — the cache may never change what

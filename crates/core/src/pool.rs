@@ -1,24 +1,45 @@
-//! Persistent worker pool behind the parallel batch runner.
+//! The executor behind every run: epochs of segments, drained by lanes.
 //!
-//! One pool is created per run — not per driver batch. Workers are
-//! spawned once, each opens one [`crate::engine::EngineSession`] whose
-//! scratch buffers and lowered sampling kernels live for the whole run,
-//! and driver batches are dispatched to the pool as *epochs* over a
-//! condition variable. The per-batch `thread::scope` spawn/join cycles
-//! of the previous runner are replaced by an epoch handshake:
+//! # Epochs and segments
 //!
-//! 1. the coordinator publishes a job (a claim cursor over `[lo, hi)`
-//!    plus the accumulation mode), bumps the epoch, and wakes every
-//!    worker;
-//! 2. workers drain the cursor, merge their local partials into the
-//!    epoch accumulator, and check out;
+//! Every unit of work a driver in [`crate::run`] dispatches is one
+//! *epoch*: an ordered list of [`Segment`]s that tile one global index
+//! range `[lo, hi)`. Segment `(scenario, lo, hi, stream_lo)` simulates
+//! its global index `i` on RNG stream `stream_lo + (i − lo)` of the
+//! scenario's seed. A single-configuration driver batch is a
+//! one-segment epoch whose stream index is the absolute group index; a
+//! fused sweep is one epoch with one segment per planned scenario. The
+//! whole range is drained through one claim cursor, and every claimed
+//! range is split at segment boundaries, so a claim (or a redone range)
+//! may straddle two scenarios.
+//!
+//! # Lanes
+//!
+//! A [`Lane`] is one executor thread's simulation state: a
+//! [`KernelCache`], one session per scenario (opened on the scenario's
+//! first group and kept across epochs), the counters of sessions it
+//! retired, progress-stride accounting, and **the** group loop,
+//! [`Lane::run`] — the one place an executor calls `simulate_group`.
+//! The serial runner (`threads == 1`) is a lane on the calling thread:
+//! nothing is spawned and nothing is synchronized. Each pool worker is a
+//! lane inside [`worker_loop`].
+//!
+//! # The pool
+//!
+//! One pool is created per run — not per epoch. Workers are spawned
+//! once and epochs are dispatched to them over a condition variable:
+//!
+//! 1. the coordinator installs the epoch's plan (claim cursor and
+//!    segments) and accumulator, publishes the job, bumps the epoch, and
+//!    wakes every worker;
+//! 2. workers drain the cursor into private accumulators, merge them
+//!    into the epoch accumulator, and check out;
 //! 3. the coordinator sleeps until the last worker has checked out.
 //!
 //! The checkout of the last worker is the quiesce point: every index in
-//! `[lo, hi)` has completed, so the finished set is still an exact
-//! prefix of the group-index space at every batch boundary — the same
-//! invariant the join barrier used to provide, which is what checkpoint
-//! resume depends on (see [`crate::checkpoint`]).
+//! `[lo, hi)` has completed, so the finished set is an exact prefix of
+//! the group-index space at every batch boundary, which is what
+//! checkpoint resume depends on (see [`crate::checkpoint`]).
 //!
 //! The handshake itself — every guarded decision listed above — is not
 //! implemented here. It lives in [`crate::sync_model`] as pure
@@ -27,28 +48,29 @@
 //! the model checker executes under a virtual scheduler, exhaustively,
 //! in `tests/pool_model.rs`. The split keeps exactly one copy of the
 //! protocol: what is proved is what runs. This module adds only the
-//! *data plane* — the claim cursor and the epoch accumulators — kept in
-//! a second mutex ([`EpochData`]) that is never held while sleeping.
+//! *data plane* — the epoch plan and the epoch accumulator — kept in a
+//! second mutex ([`EpochData`]) that is never held while sleeping.
 //! The two-lock split is safe because the data plane is only written by
 //! the coordinator while no epoch is in flight (`active == 0`, before
 //! publish / after quiesce) and by workers strictly before their own
 //! guarded check-out, so the protocol's quiesce point orders every
-//! access; the model checker verifies the ordering claims.
+//! access; the model checker verifies the ordering claims. Workers
+//! merge exactly where the model merges: once per check-out attempt.
 //!
-//! Determinism is unchanged from the scoped runner: which worker
-//! simulates a group cannot affect its history (per-group RNG streams),
-//! [`StreamStats`] partials are exact-integer state that merges
-//! bit-identically in any order, and collected histories are
-//! reassembled in group-index order by the coordinator.
+//! Determinism: which lane simulates a group cannot affect its history
+//! (per-group RNG streams), [`StreamStats`] partials are exact-integer
+//! state that merges bit-identically in any order, and collected
+//! histories are reassembled in global index order by the coordinator.
 //!
 //! Failure handling is *supervised* (see DESIGN.md §17):
 //!
 //! * In stream mode, a panic while simulating one group is caught and
 //!   the group **quarantined**: its index still counts toward the
 //!   completed watermark (so batch arithmetic and the prefix invariant
-//!   hold) but its statistics are excluded, the session is reopened,
-//!   and the run continues. Quarantined groups surface through
-//!   [`BatchRunner::drain_quarantine`] and make the run unresumable.
+//!   hold) but its statistics are excluded, the session is retired
+//!   (its counters folded into the lane) and reopened, and the run
+//!   continues. Quarantined groups come back in [`Harvest::quarantine`]
+//!   and make the run unresumable.
 //! * A panic that kills a whole worker (an observer callback, session
 //!   construction, a collect-mode group) trips its
 //!   [`SupervisionGuard`]: the worker's *unmerged* claimed ranges —
@@ -72,13 +94,11 @@
 use crate::config::RaidGroupConfig;
 use crate::engine::{BiasPolicy, Engine, EngineCounters, EngineSession, SessionTuning};
 use crate::events::{GroupHistory, QuarantinedGroup};
-use crate::run::{
-    panic_message, BatchCursor, BatchRunner, Progress, StreamObserver, PROGRESS_STRIDE,
-};
+use crate::run::{BatchCursor, Progress, StreamObserver, PROGRESS_STRIDE};
 use crate::stats::{SchedulerStats, StreamStats};
 use crate::sync_model::{
-    effective_claim, CheckOutcome, Cv, JobSpec, PoolCore, QuiescePoll, StdSync, SweepPoll, SyncOps,
-    Wake, WorkerPoll,
+    effective_claim, CheckOutcome, Cv, JobSpec, PoolCore, QuiescePoll, StdSync, SyncOps, Wake,
+    WorkerPoll,
 };
 use raidsim_dists::rng::stream;
 use raidsim_dists::KernelCache;
@@ -86,29 +106,64 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Everything a pool worker needs, borrowed from the driving run.
-pub(crate) struct PoolCtx<'a> {
-    /// Engine shared by all workers (each opens its own session).
-    pub engine: &'a dyn Engine,
-    /// Configuration being simulated.
+/// One configuration an executor simulates, with the master seed of its
+/// per-group RNG streams.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PlannedScenario<'a> {
+    /// Configuration to simulate.
     pub cfg: &'a RaidGroupConfig,
-    /// Sampling-measure change each worker session applies (see
+    /// Master seed; the scenario's groups draw `stream(seed, index)`.
+    pub seed: u64,
+}
+
+/// A contiguous run of one scenario's groups inside an epoch: global
+/// indices `[lo, hi)` simulate scenario `scenario` on RNG streams
+/// `stream_lo..stream_lo + (hi − lo)` of its seed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Segment {
+    /// Index into the executor's scenario table.
+    pub scenario: usize,
+    /// First global index (inclusive).
+    pub lo: u64,
+    /// One past the last global index.
+    pub hi: u64,
+    /// Stream index of global index `lo`.
+    pub stream_lo: u64,
+}
+
+impl Segment {
+    /// Groups `[lo, hi)` of a single-configuration run: scenario 0,
+    /// group `i` on stream `i`.
+    pub(crate) fn batch(lo: u64, hi: u64) -> Self {
+        Segment {
+            scenario: 0,
+            lo,
+            hi,
+            stream_lo: lo,
+        }
+    }
+}
+
+/// Everything an executor needs, borrowed from the driving run.
+pub(crate) struct ExecCtx<'a> {
+    /// Engine shared by every lane (each opens its own sessions).
+    pub engine: &'a dyn Engine,
+    /// Scenario table that segments index into.
+    pub scenarios: &'a [PlannedScenario<'a>],
+    /// Sampling-measure change every session applies (see
     /// [`BiasPolicy`]); scheduling invariance is unaffected because
     /// every session applies the same policy to the same per-group
     /// streams.
     pub bias: BiasPolicy,
-    /// Tuning every worker session opens with; every tuning is
-    /// bit-identical to every other, so scheduling invariance is
-    /// preserved.
+    /// Tuning every session opens with; every tuning is bit-identical
+    /// to every other, so scheduling invariance is preserved.
     pub tuning: SessionTuning,
-    /// Base seed; group `i` uses RNG stream `i`.
-    pub seed: u64,
-    /// Worker count (callers route `threads == 1` around the pool).
+    /// Lane count: `1` runs on the calling thread, more spawn a pool.
     pub threads: usize,
     /// Configured claim-batch size, clamped per epoch by
     /// [`effective_claim`].
     pub claim_batch: u64,
-    /// Progress sink; called from worker threads.
+    /// Progress sink; called from whichever thread runs a lane.
     pub observer: &'a dyn StreamObserver,
     /// Global completed-group counter (absolute, survives across
     /// epochs; resumed runs start it at the checkpointed prefix).
@@ -117,21 +172,325 @@ pub(crate) struct PoolCtx<'a> {
     pub target: u64,
 }
 
-/// The data plane of one epoch: the claim cursor workers drain and the
-/// accumulators they merge into. Guarded by its own mutex, held only
-/// for short non-blocking sections (install, cursor hand-out, merge,
-/// harvest) — all ordering between them is provided by the protocol in
+/// What one epoch produced.
+#[derive(Debug, Default)]
+pub(crate) struct Harvest {
+    /// Stream mode: one accumulator per segment, in segment order.
+    /// Empty in collect mode.
+    pub stats: Vec<StreamStats>,
+    /// Collect mode: every history of the epoch in global index order.
+    pub histories: Vec<GroupHistory>,
+    /// Stream mode: quarantined groups as `(scenario, group)`, the
+    /// group's index being its stream index, sorted by both.
+    pub quarantine: Vec<(usize, QuarantinedGroup)>,
+}
+
+/// Runs epochs for the drivers: a serial [`Lane`] or the worker pool.
+pub(crate) trait BatchRunner {
+    /// Simulates every segment of one epoch exactly once. `segments`
+    /// must tile one contiguous range in index order, and epochs of one
+    /// run must not overlap.
+    fn run_epoch(&mut self, segments: &[Segment], collect: bool) -> Harvest;
+
+    /// Streams groups `[lo, hi)` of a single-configuration run into a
+    /// fresh aggregate, plus the groups it quarantined.
+    fn stream_batch(&mut self, lo: u64, hi: u64) -> (StreamStats, Vec<QuarantinedGroup>) {
+        let Harvest {
+            mut stats,
+            quarantine,
+            ..
+        } = self.run_epoch(&[Segment::batch(lo, hi)], false);
+        let quarantine = quarantine.into_iter().map(|(_, group)| group).collect();
+        // One segment in, one accumulator out.
+        (stats.swap_remove(0), quarantine)
+    }
+
+    /// Simulates groups `[lo, hi)` of a single-configuration run and
+    /// returns the histories in group-index order. A group's panic
+    /// propagates: a hole in a history vector cannot be represented.
+    fn collect_batch(&mut self, lo: u64, hi: u64) -> Vec<GroupHistory> {
+        self.run_epoch(&[Segment::batch(lo, hi)], true).histories
+    }
+}
+
+/// The global range `[lo, hi)` a segment list tiles.
+fn span(segments: &[Segment]) -> (u64, u64) {
+    let lo = segments.first().map_or(0, |s| s.lo);
+    let hi = segments.last().map_or(lo, |s| s.hi);
+    (lo, hi)
+}
+
+/// Renders a caught panic payload for a [`QuarantinedGroup`] record.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic>".to_string()
+    }
+}
+
+/// Results of (part of) one epoch: a lane's private share, or the
+/// merged whole the coordinator harvests.
+#[derive(Debug, Default)]
+struct EpochAcc {
+    collect: bool,
+    /// Stream mode: one accumulator per segment, created by the first
+    /// group that lands in it.
+    stats: Vec<Option<StreamStats>>,
+    /// Collect mode: `(first global index, histories)` per simulated
+    /// sub-range, in completion order.
+    parts: Vec<(u64, Vec<GroupHistory>)>,
+    /// Quarantined groups as `(scenario, group)`, in completion order.
+    quarantine: Vec<(usize, QuarantinedGroup)>,
+}
+
+impl EpochAcc {
+    fn new(segments: usize, collect: bool) -> Self {
+        EpochAcc {
+            collect,
+            stats: (0..segments).map(|_| None).collect(),
+            parts: Vec::new(),
+            quarantine: Vec::new(),
+        }
+    }
+
+    /// Merges another share of the same epoch into this one.
+    fn absorb(&mut self, other: EpochAcc) {
+        for (mine, theirs) in self.stats.iter_mut().zip(other.stats) {
+            match (mine.as_mut(), theirs) {
+                (Some(mine), Some(theirs)) => mine.merge(theirs),
+                (None, theirs) => *mine = theirs,
+                (Some(_), None) => {}
+            }
+        }
+        self.parts.extend(other.parts);
+        self.quarantine.extend(other.quarantine);
+    }
+
+    /// Orders the merged whole deterministically, whichever lane
+    /// produced which share.
+    fn harvest(self, segments: &[Segment], scenarios: &[PlannedScenario<'_>]) -> Harvest {
+        let stats = if self.collect {
+            Vec::new()
+        } else {
+            self.stats
+                .into_iter()
+                .zip(segments)
+                .map(|(stats, seg)| {
+                    stats.unwrap_or_else(|| {
+                        StreamStats::new(scenarios[seg.scenario].cfg.mission_hours)
+                    })
+                })
+                .collect()
+        };
+        // Sub-range starts are unique within the epoch, so sorting by
+        // start (an integer index — no float ordering involved) and
+        // concatenating restores global index order. The explicit
+        // comparators are deliberate: the float-discipline lint bans
+        // the `_by_key` form in simulation crates.
+        let mut parts = self.parts;
+        #[allow(clippy::unnecessary_sort_by)]
+        parts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut histories = Vec::with_capacity(parts.iter().map(|p| p.1.len()).sum());
+        for (_, mut part) in parts {
+            histories.append(&mut part);
+        }
+        let mut quarantine = self.quarantine;
+        #[allow(clippy::unnecessary_sort_by)]
+        quarantine.sort_unstable_by(|a, b| (a.0, a.1.index).cmp(&(b.0, b.1.index)));
+        Harvest {
+            stats,
+            histories,
+            quarantine,
+        }
+    }
+}
+
+/// One executor thread's simulation state (see the module docs).
+struct Lane<'a> {
+    ctx: &'a ExecCtx<'a>,
+    /// Lowered sampling kernels shared by this lane's sessions, so a
+    /// distribution tree several scenarios share lowers once per lane.
+    kernels: KernelCache,
+    /// One session per scenario, opened on its first group.
+    sessions: Vec<Option<Box<dyn EngineSession + 'a>>>,
+    /// Counters of sessions retired after a quarantined panic.
+    retired: EngineCounters,
+    /// Scenarios this lane has simulated at least one group of.
+    touched: Vec<bool>,
+    groups_done: u64,
+    last_bucket: u64,
+}
+
+impl<'a> Lane<'a> {
+    fn new(ctx: &'a ExecCtx<'a>) -> Self {
+        let n = ctx.scenarios.len();
+        Lane {
+            ctx,
+            kernels: KernelCache::new(),
+            sessions: (0..n).map(|_| None).collect(),
+            retired: EngineCounters::default(),
+            touched: vec![false; n],
+            groups_done: 0,
+            // Stride accounting starts at the current global bucket so
+            // a resumed run does not re-report strides its checkpointed
+            // prefix already covered.
+            last_bucket: ctx.done.load(Ordering::Relaxed) / PROGRESS_STRIDE,
+        }
+    }
+
+    /// The group loop: simulates global indices `[start, end)` of
+    /// `segments` into `acc`, one segment's share at a time.
+    fn run(&mut self, segments: &[Segment], start: u64, end: u64, acc: &mut EpochAcc) {
+        for (k, seg) in segments.iter().enumerate() {
+            let (lo, hi) = (start.max(seg.lo), end.min(seg.hi));
+            if lo >= hi {
+                continue;
+            }
+            let sc = self.ctx.scenarios[seg.scenario];
+            self.touched[seg.scenario] = true;
+            let mut histories = Vec::new();
+            if acc.collect {
+                histories.reserve_exact((hi - lo) as usize);
+            }
+            for i in lo..hi {
+                let index = seg.stream_lo + (i - seg.lo);
+                let mut rng = stream(sc.seed, index);
+                let session = self.sessions[seg.scenario].get_or_insert_with(|| {
+                    self.ctx.engine.session_tuned_cached(
+                        sc.cfg,
+                        self.ctx.bias,
+                        self.ctx.tuning,
+                        &mut self.kernels,
+                    )
+                });
+                if acc.collect {
+                    histories.push(session.simulate_group(&mut rng).clone());
+                } else {
+                    let stats =
+                        acc.stats[k].get_or_insert_with(|| StreamStats::new(sc.cfg.mission_hours));
+                    // Unwind safety: `stats` is only mutated by `push`,
+                    // which runs after `simulate_group` returned a
+                    // complete history — a panic leaves it untouched.
+                    // The session may be mid-update, so it is retired
+                    // (its counters kept) and reopened on the next group.
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        stats.push(session.simulate_group(&mut rng));
+                    }));
+                    if let Err(payload) = outcome {
+                        acc.quarantine.push((
+                            seg.scenario,
+                            QuarantinedGroup {
+                                index,
+                                message: panic_message(payload.as_ref()),
+                            },
+                        ));
+                        if let Some(session) = self.sessions[seg.scenario].take() {
+                            self.retired.merge(session.counters());
+                        }
+                    }
+                }
+                self.note_group();
+            }
+            if acc.collect {
+                acc.parts.push((lo, histories));
+            }
+        }
+    }
+
+    /// Counts a completed group against the global counter and reports
+    /// a progress stride if this lane crossed into a new bucket — per
+    /// lane monotone by construction; the drivers' final callback
+    /// covers the sub-stride remainder.
+    fn note_group(&mut self) {
+        self.groups_done += 1;
+        let completed = self.ctx.done.fetch_add(1, Ordering::Relaxed) + 1;
+        let bucket = completed / PROGRESS_STRIDE;
+        if bucket > self.last_bucket {
+            self.last_bucket = bucket;
+            self.ctx.observer.on_progress(Progress {
+                groups_done: completed,
+                groups_target: self.ctx.target,
+            });
+        }
+    }
+
+    /// Work counters of every session this lane opened.
+    fn counters(&self) -> EngineCounters {
+        let mut counters = self.retired;
+        for session in self.sessions.iter().flatten() {
+            counters.merge(session.counters());
+        }
+        counters
+    }
+
+    /// Scenarios after the first that this lane claimed groups from:
+    /// its cross-scenario steals ([`SchedulerStats::steals`]).
+    fn steals(&self) -> u64 {
+        self.touched.iter().skip(1).filter(|&&t| t).count() as u64
+    }
+}
+
+/// The serial runner: the whole epoch on the calling thread.
+impl BatchRunner for Lane<'_> {
+    fn run_epoch(&mut self, segments: &[Segment], collect: bool) -> Harvest {
+        let (lo, hi) = span(segments);
+        let mut acc = EpochAcc::new(segments.len(), collect);
+        self.run(segments, lo, hi, &mut acc);
+        acc.harvest(segments, self.ctx.scenarios)
+    }
+}
+
+/// Runs `body` against the run's executor — a serial lane when
+/// `threads == 1`, a persistent worker pool otherwise — and reports the
+/// run's scheduler statistics.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`, and (pool only) when *every* worker died:
+/// the coordinator re-raises at its quiesce wait, after all threads
+/// have been joined so no worker outlives the borrowed context. Partial
+/// losses are supervised: survivors redo the dead workers' unmerged
+/// ranges and the run completes with bit-identical aggregates.
+pub(crate) fn execute<R>(
+    ctx: ExecCtx<'_>,
+    body: impl FnOnce(&mut dyn BatchRunner) -> R,
+) -> (R, SchedulerStats) {
+    assert!(ctx.threads > 0, "need at least one thread");
+    if ctx.threads > 1 {
+        return run_pool(&ctx, body);
+    }
+    let mut lane = Lane::new(&ctx);
+    let result = body(&mut lane);
+    let sched = SchedulerStats {
+        worker_groups: vec![lane.groups_done],
+        thread_spawns: 0,
+        workers_lost: 0,
+        steals: 0,
+        counters: lane.counters(),
+    };
+    (result, sched)
+}
+
+/// An epoch's claim cursor together with the segments it tiles.
+struct EpochPlan {
+    cursor: BatchCursor,
+    segments: Vec<Segment>,
+}
+
+/// The data plane of one epoch: the plan workers drain and the
+/// accumulator they merge into. Guarded by its own mutex, held only for
+/// short non-blocking sections (install, plan hand-out, merge, harvest)
+/// — all ordering between them is provided by the protocol in
 /// [`PoolCore`], never by this lock.
+#[derive(Default)]
 struct EpochData {
-    /// Cursor of the current epoch, `Some` from install to harvest.
-    cursor: Option<Arc<BatchCursor>>,
-    /// Stream-mode epoch accumulator (`None` in collect mode).
-    stream_acc: Option<StreamStats>,
-    /// Collect-mode epoch accumulator: `(start_index, histories)` per
-    /// claimed batch, in arbitrary completion order.
-    collect_acc: Vec<(u64, Vec<GroupHistory>)>,
-    /// Stream-mode groups whose simulation panicked this epoch.
-    quarantine: Vec<QuarantinedGroup>,
+    /// Plan of the current epoch, `Some` from install to harvest.
+    plan: Option<Arc<EpochPlan>>,
+    /// The epoch accumulator.
+    acc: EpochAcc,
 }
 
 struct Shared {
@@ -163,7 +522,7 @@ impl Drop for ShutdownOnDrop<'_> {
 /// `pending` accumulates **every** range the worker claimed since its
 /// current serve began — completed ones included, because the worker's
 /// private accumulator (and with it the results of completed ranges)
-/// dies with the worker; only the merge publishes them. It is cleared
+/// dies with it; only the merge publishes them. It is cleared
 /// immediately after the merge publishes, with no panic point in
 /// between, so no death can double-count or lose a range.
 ///
@@ -194,45 +553,38 @@ impl Drop for SupervisionGuard<'_> {
     }
 }
 
-/// Dispatches driver batches to the worker pool; implements
-/// [`BatchRunner`] for the drivers in [`crate::run`].
-pub(crate) struct PoolRunner<'env, 'p> {
-    ctx: &'p PoolCtx<'env>,
+/// Dispatches epochs to the worker pool.
+struct PoolRunner<'p> {
+    ctx: &'p ExecCtx<'p>,
     shared: &'p Shared,
-    /// Quarantined groups harvested from completed epochs, awaiting
-    /// [`BatchRunner::drain_quarantine`].
-    quarantined: Vec<QuarantinedGroup>,
 }
 
-impl PoolRunner<'_, '_> {
-    /// Publishes `[lo, hi)` as the next epoch, wakes the workers, and
-    /// blocks until the epoch quiesces. Returns the data guard so the
-    /// caller can take the epoch's accumulator.
-    ///
-    /// # Panics
+impl BatchRunner for PoolRunner<'_> {
+    /// Installs and publishes the epoch, wakes the workers, blocks
+    /// until it quiesces, and harvests the merged accumulator.
     ///
     /// Re-raises (as a coordinator panic) when the pool lost every
     /// worker — partial losses are supervised and do not surface here.
-    fn run_epoch(&mut self, lo: usize, hi: usize, collect: bool) -> MutexGuard<'_, EpochData> {
-        debug_assert!(lo <= hi);
-        let count = (hi - lo) as u64;
-        let claim = effective_claim(self.ctx.claim_batch, count, self.ctx.threads as u64);
-        let spec = JobSpec {
-            lo: lo as u64,
-            hi: hi as u64,
-            claim,
-            collect,
-        };
+    fn run_epoch(&mut self, segments: &[Segment], collect: bool) -> Harvest {
+        let (lo, hi) = span(segments);
+        let claim = effective_claim(self.ctx.claim_batch, hi - lo, self.ctx.threads as u64);
         // Install the data plane first: workers cannot observe it until
         // the guarded publish makes the epoch visible, and no worker
         // from the previous epoch can still touch it (`active == 0`).
         {
             let mut data = lock_data(self.shared);
-            data.cursor = Some(Arc::new(BatchCursor::new(lo, hi, claim)));
-            data.stream_acc = (!collect).then(|| StreamStats::new(self.ctx.cfg.mission_hours));
-            data.collect_acc.clear();
-            data.quarantine.clear();
+            data.plan = Some(Arc::new(EpochPlan {
+                cursor: BatchCursor::new(lo, hi, claim),
+                segments: segments.to_vec(),
+            }));
+            data.acc = EpochAcc::new(segments.len(), collect);
         }
+        let spec = JobSpec {
+            lo,
+            hi,
+            claim,
+            collect,
+        };
         let wake = self.shared.sync.guarded(|core| core.publish(spec));
         self.shared.sync.wake(wake);
         let outcome = self
@@ -246,81 +598,13 @@ impl PoolRunner<'_, '_> {
         if outcome == QuiescePoll::Panicked {
             panic!("simulation worker panicked");
         }
-        let mut data = lock_data(self.shared);
-        data.cursor = None;
-        data
+        let acc = {
+            let mut data = lock_data(self.shared);
+            data.plan = None;
+            std::mem::take(&mut data.acc)
+        };
+        acc.harvest(segments, self.ctx.scenarios)
     }
-}
-
-impl BatchRunner for PoolRunner<'_, '_> {
-    fn stream_batch(&mut self, lo: usize, hi: usize) -> StreamStats {
-        let mut data = self.run_epoch(lo, hi, false);
-        let mut quarantined = std::mem::take(&mut data.quarantine);
-        let stats = data
-            .stream_acc
-            .take()
-            .expect("stream epochs publish an accumulator");
-        drop(data);
-        // Deterministic order for observers regardless of which worker
-        // hit which group first. The explicit comparator (not
-        // `sort_unstable_by_key`) keeps the float-discipline lint happy.
-        #[allow(clippy::unnecessary_sort_by)]
-        quarantined.sort_unstable_by(|a, b| a.index.cmp(&b.index));
-        self.quarantined.append(&mut quarantined);
-        stats
-    }
-
-    fn drain_quarantine(&mut self) -> Vec<QuarantinedGroup> {
-        std::mem::take(&mut self.quarantined)
-    }
-
-    fn collect_batch(&mut self, lo: usize, hi: usize) -> Vec<GroupHistory> {
-        let mut data = self.run_epoch(lo, hi, true);
-        let mut parts = std::mem::take(&mut data.collect_acc);
-        drop(data);
-        // Claim starts are unique within the epoch, so sorting by start
-        // (an integer index — no float ordering involved) and
-        // concatenating restores exact group-index order no matter
-        // which worker produced which batch. The explicit comparator is
-        // deliberate: the float-discipline lint bans the `_by_key` form
-        // in simulation crates because float keys cannot implement Ord.
-        #[allow(clippy::unnecessary_sort_by)]
-        parts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut histories = Vec::with_capacity(hi - lo);
-        for (_, mut batch) in parts {
-            histories.append(&mut batch);
-        }
-        histories
-    }
-}
-
-/// Counts a completed group against the global counter and reports a
-/// progress stride if this worker crossed into a new bucket (the same
-/// per-worker monotone stride accounting the scoped runner used).
-fn note_progress(
-    observer: &dyn StreamObserver,
-    done: &AtomicU64,
-    target: u64,
-    last_bucket: &mut u64,
-) {
-    let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
-    let bucket = completed / PROGRESS_STRIDE;
-    if bucket > *last_bucket {
-        *last_bucket = bucket;
-        observer.on_progress(Progress {
-            groups_done: completed,
-            groups_target: target,
-        });
-    }
-}
-
-fn note_group(ctx: &PoolCtx<'_>, last_bucket: &mut u64) {
-    note_progress(ctx.observer, ctx.done, ctx.target, last_bucket);
-}
-
-/// Claims the next cursor range as `[start, end)` group indices.
-fn claim_u64(cursor: &BatchCursor) -> Option<(u64, u64)> {
-    cursor.claim().map(|r| (r.start as u64, r.end as u64))
 }
 
 /// Runs the guarded check-out for a worker that has merged everything
@@ -350,16 +634,11 @@ fn attempt_check_out(sync: &StdSync, guard: &mut SupervisionGuard<'_>) -> Option
     redo
 }
 
-/// Body of one pool worker: open a session once, then serve epochs
-/// until shutdown. Returns the worker's lifetime group count and its
-/// session's work counters.
-fn worker_loop(ctx: &PoolCtx<'_>, shared: &Shared) -> (u64, EngineCounters) {
-    let mut session = ctx.engine.session_tuned(ctx.cfg, ctx.bias, ctx.tuning);
-    let mut groups_done = 0u64;
-    // Stride accounting starts at the current global bucket so a
-    // resumed run does not re-report strides its checkpointed prefix
-    // already covered.
-    let mut last_bucket = ctx.done.load(Ordering::Relaxed) / PROGRESS_STRIDE;
+/// Body of one pool worker: a lane serving epochs until shutdown.
+/// Returns the worker's lifetime group count, its cross-scenario steals
+/// and its sessions' work counters.
+fn worker_loop<'a>(ctx: &'a ExecCtx<'a>, shared: &Shared) -> (u64, u64, EngineCounters) {
+    let mut lane = Lane::new(ctx);
     let mut guard = SupervisionGuard {
         sync: &shared.sync,
         armed: true,
@@ -379,10 +658,10 @@ fn worker_loop(ctx: &PoolCtx<'_>, shared: &Shared) -> (u64, EngineCounters) {
         let Some((job, epoch)) = poll else { break };
         guard.seen_epoch = epoch;
         guard.serving = true;
-        let cursor = lock_data(shared)
-            .cursor
+        let plan = lock_data(shared)
+            .plan
             .clone()
-            .expect("a published epoch carries a cursor");
+            .expect("a published epoch carries a plan");
         // Each round drains the claim source (the cursor, then any
         // range the refused check-out handed back), merges, and
         // attempts the guarded check-out. Merge-before-check-out: the
@@ -390,106 +669,41 @@ fn worker_loop(ctx: &PoolCtx<'_>, shared: &Shared) -> (u64, EngineCounters) {
         // coordinator's harvest, and `serving` clears inside the
         // guarded section itself, so a death at any point is accounted
         // exactly once.
-        let mut next = claim_u64(&cursor);
-        if job.collect {
-            loop {
-                let mut local: Vec<(u64, Vec<GroupHistory>)> = Vec::new();
-                while let Some((start, end)) = next {
-                    guard.pending.push((start, end));
-                    let mut batch = Vec::with_capacity((end - start) as usize);
-                    for i in start..end {
-                        let mut rng = stream(ctx.seed, i);
-                        batch.push(session.simulate_group(&mut rng).clone());
-                        groups_done += 1;
-                        note_group(ctx, &mut last_bucket);
-                    }
-                    local.push((start, batch));
-                    next = claim_u64(&cursor);
-                }
-                lock_data(shared).collect_acc.append(&mut local);
-                guard.pending.clear();
-                next = attempt_check_out(&shared.sync, &mut guard);
-                if next.is_none() {
-                    break;
-                }
+        let claim = || plan.cursor.claim().map(|r| (r.start, r.end));
+        let mut next = claim();
+        loop {
+            let mut acc = EpochAcc::new(plan.segments.len(), job.collect);
+            while let Some((start, end)) = next {
+                guard.pending.push((start, end));
+                lane.run(&plan.segments, start, end, &mut acc);
+                next = claim();
             }
-        } else {
-            loop {
-                let mut stats = StreamStats::new(ctx.cfg.mission_hours);
-                let mut quarantined: Vec<QuarantinedGroup> = Vec::new();
-                while let Some((start, end)) = next {
-                    guard.pending.push((start, end));
-                    for i in start..end {
-                        let mut rng = stream(ctx.seed, i);
-                        // Unwind safety: `stats` is only mutated by
-                        // `push`, which runs after `simulate_group`
-                        // returned a complete history — a panic leaves
-                        // it untouched. The session may be mid-update,
-                        // so it is replaced.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            stats.push(session.simulate_group(&mut rng));
-                        }));
-                        if let Err(payload) = outcome {
-                            quarantined.push(QuarantinedGroup {
-                                index: i,
-                                message: panic_message(payload.as_ref()),
-                            });
-                            session = ctx.engine.session_tuned(ctx.cfg, ctx.bias, ctx.tuning);
-                        }
-                        groups_done += 1;
-                        note_group(ctx, &mut last_bucket);
-                    }
-                    next = claim_u64(&cursor);
-                }
-                {
-                    let mut data = lock_data(shared);
-                    data.stream_acc
-                        .as_mut()
-                        .expect("stream epochs publish an accumulator")
-                        .merge(stats);
-                    data.quarantine.append(&mut quarantined);
-                }
-                guard.pending.clear();
-                next = attempt_check_out(&shared.sync, &mut guard);
-                if next.is_none() {
-                    break;
-                }
+            lock_data(shared).acc.absorb(acc);
+            guard.pending.clear();
+            next = attempt_check_out(&shared.sync, &mut guard);
+            if next.is_none() {
+                break;
             }
         }
     }
     guard.armed = false;
-    (groups_done, session.counters())
+    (lane.groups_done, lane.steals(), lane.counters())
 }
 
 /// Spawns the pool, runs `body` against a [`PoolRunner`], shuts the
 /// workers down, and reports per-worker scheduling statistics
 /// (including how many workers died and were supervised out).
-///
-/// # Panics
-///
-/// Panics only when *every* worker died (total loss): the coordinator
-/// re-raises at its quiesce wait, after all threads have been joined so
-/// no worker outlives the borrowed context. Partial losses are
-/// supervised: survivors redo the dead workers' unmerged ranges and the
-/// run completes with bit-identical aggregates.
-pub(crate) fn run_with_pool<R>(
-    ctx: PoolCtx<'_>,
+fn run_pool<R>(
+    ctx: &ExecCtx<'_>,
     body: impl FnOnce(&mut dyn BatchRunner) -> R,
 ) -> (R, SchedulerStats) {
-    debug_assert!(ctx.threads > 1, "serial runs bypass the pool");
     let shared = Shared {
         sync: StdSync::new(ctx.threads),
-        data: Mutex::new(EpochData {
-            cursor: None,
-            stream_acc: None,
-            collect_acc: Vec::new(),
-            quarantine: Vec::new(),
-        }),
+        data: Mutex::new(EpochData::default()),
     };
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(ctx.threads);
         for _ in 0..ctx.threads {
-            let ctx = &ctx;
             let shared = &shared;
             handles.push(scope.spawn(move || worker_loop(ctx, shared)));
         }
@@ -498,529 +712,35 @@ pub(crate) fn run_with_pool<R>(
             // scope's implicit joins cannot deadlock.
             let _shutdown = ShutdownOnDrop(&shared.sync);
             let mut runner = PoolRunner {
-                ctx: &ctx,
+                ctx,
                 shared: &shared,
-                quarantined: Vec::new(),
             };
             body(&mut runner)
         };
-        let mut worker_groups = Vec::with_capacity(ctx.threads);
-        let mut counters = EngineCounters::default();
-        let mut workers_lost = 0u64;
+        let mut sched = SchedulerStats {
+            worker_groups: Vec::with_capacity(ctx.threads),
+            thread_spawns: ctx.threads as u64,
+            workers_lost: 0,
+            steals: 0,
+            counters: EngineCounters::default(),
+        };
         for h in handles {
             match h.join() {
-                Ok((groups, c)) => {
-                    worker_groups.push(groups);
-                    counters.merge(c);
+                Ok((groups, steals, counters)) => {
+                    sched.worker_groups.push(groups);
+                    sched.steals += steals;
+                    sched.counters.merge(counters);
                 }
                 // A supervised death: its guard already settled the
                 // accounting (resubmission or, on total loss, the
                 // coordinator's re-raise above), so the payload is
                 // spent — record the loss and move on.
                 Err(_) => {
-                    worker_groups.push(0);
-                    workers_lost += 1;
+                    sched.worker_groups.push(0);
+                    sched.workers_lost += 1;
                 }
             }
         }
-        let sched = SchedulerStats {
-            worker_groups,
-            thread_spawns: ctx.threads as u64,
-            workers_lost,
-            steals: 0,
-            counters,
-        };
         (result, sched)
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Fused multi-scenario sweep executor
-// ---------------------------------------------------------------------------
-//
-// A sweep used to be a loop over independent runs: spawn a pool, drain
-// one scenario, quiesce, tear the pool down, repeat. Every scenario
-// boundary was a full barrier, so each scenario's tail (fewer remaining
-// groups than threads) starved the other workers. The fused executor
-// below keeps ONE pool alive for the whole sweep and publishes the
-// scenarios into a cross-scenario work queue: the coordinator opens the
-// sweep with [`PoolCore::publish_sweep`], appends each further scenario
-// with [`PoolCore::extend_sweep`] *while workers are still draining the
-// previous ones*, and closes the queue with [`PoolCore::seal_sweep`].
-// A worker that exhausts scenario `s` asks [`PoolCore::sweep_poll`]
-// whether scenario `s + 1` is published yet — if so it *steals* into it
-// immediately instead of idling at a quiesce barrier; only when the
-// queue is sealed and fully served does it check out. The protocol
-// extension is model-checked in `sync_model` (including a mutation test
-// that catches a lost wakeup at the scenario boundary) exactly like the
-// base epoch handshake.
-//
-// Determinism is scenario-local: scenario `k` covering global indices
-// `[lo, hi)` simulates its group `i` with RNG stream `i - lo` drawn
-// from the scenario's own seed, and merges into the scenario's own
-// [`StreamStats`] accumulator — so per-scenario aggregates are
-// bit-identical to a sequential per-scenario run at every thread count,
-// no matter which worker steals what. Supervision carries over
-// unchanged: a dead worker's unmerged ranges are resubmitted through
-// the same `mark_lost`/`check_out` queue, and survivors map each redone
-// range back to its scenario by the global-offset partition. One
-// difference from the single-scenario loop is merge granularity:
-// sweep workers merge and clear their pending set at every scenario
-// boundary, while the model merges only at check-out — production's
-// death-resubmit set is therefore a subset of the model's, and the
-// model proves coverage for the larger set, so production is a sound
-// refinement.
-//
-// Each worker owns one [`KernelCache`], so a distribution tree shared
-// by several scenarios (a scrub ladder varies one knob, the rest of the
-// config is identical) is lowered once per worker instead of once per
-// (worker, scenario). Sessions are opened lazily per (worker,
-// scenario): a worker that never touches scenario `k` never pays for
-// its session.
-
-/// One scenario of a fused sweep, planned into the sweep's global group
-/// index space by the caller: scenario groups occupy `[lo, hi)` and
-/// group `i` uses RNG stream `i - lo` of `seed`.
-pub(crate) struct PlannedScenario {
-    /// Configuration this scenario simulates.
-    pub cfg: Arc<RaidGroupConfig>,
-    /// The scenario's own master seed (streams are scenario-local).
-    pub seed: u64,
-    /// First global group index of this scenario.
-    pub lo: u64,
-    /// One past the last global group index of this scenario.
-    pub hi: u64,
-}
-
-/// Everything a sweep worker needs, borrowed from the driving sweep.
-pub(crate) struct SweepCtx<'a> {
-    /// Engine shared by all workers and scenarios.
-    pub engine: &'a dyn Engine,
-    /// Scenarios in publish order, with precomputed global offsets.
-    pub scenarios: &'a [PlannedScenario],
-    /// Sampling-measure change applied by every session (see
-    /// [`PoolCtx::bias`]).
-    pub bias: BiasPolicy,
-    /// Session tuning applied by every session (see [`PoolCtx::tuning`]).
-    pub tuning: SessionTuning,
-    /// Worker count (callers route `threads == 1` around the pool).
-    pub threads: usize,
-    /// Configured claim-batch size, clamped per scenario by
-    /// [`effective_claim`].
-    pub claim_batch: u64,
-    /// `true` to collect full histories, `false` to stream statistics.
-    pub collect: bool,
-    /// Progress sink; called from worker threads.
-    pub observer: &'a dyn StreamObserver,
-    /// Global completed-group counter across the whole sweep.
-    pub done: &'a AtomicU64,
-    /// Target group count reported in progress callbacks.
-    pub target: u64,
-}
-
-/// The sweep data plane: one cursor and one accumulator per published
-/// scenario, in scenario order. Guarded by its own mutex under the same
-/// discipline as [`EpochData`]: held only for short non-blocking
-/// sections, with all ordering provided by the protocol. The vectors
-/// only grow while the sweep is open; workers index them by scenario,
-/// and [`PoolCore::sweep_poll`] guarantees a scenario is published
-/// before any worker asks for its cursor.
-struct SweepData {
-    /// Claim cursor of each published scenario.
-    cursors: Vec<Arc<BatchCursor>>,
-    /// Stream-mode accumulator of each published scenario (empty in
-    /// collect mode).
-    stream_accs: Vec<StreamStats>,
-    /// Collect-mode accumulator of each published scenario (empty in
-    /// stream mode): `(start_index, histories)` per claimed batch.
-    collect_accs: Vec<Vec<(u64, Vec<GroupHistory>)>>,
-    /// Quarantined groups: `(scenario index, group)` with the group's
-    /// index *local to its scenario*.
-    quarantine: Vec<(usize, QuarantinedGroup)>,
-}
-
-struct SweepShared {
-    /// Protocol state + condvars; all blocking goes through here.
-    sync: StdSync,
-    /// Sweep data plane (see [`SweepData`]).
-    data: Mutex<SweepData>,
-}
-
-fn lock_sweep_data(shared: &SweepShared) -> MutexGuard<'_, SweepData> {
-    shared.data.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Everything [`run_sweep_pool`] hands back to the sweep driver.
-pub(crate) struct SweepHarvest {
-    /// Per-scenario stream statistics, in scenario order (stream mode).
-    pub stream_accs: Vec<StreamStats>,
-    /// Per-scenario histories in group order (collect mode).
-    pub collect_accs: Vec<Vec<GroupHistory>>,
-    /// Quarantined groups as `(scenario index, group)` with
-    /// scenario-local indices, sorted by `(scenario, index)`.
-    pub quarantine: Vec<(usize, QuarantinedGroup)>,
-    /// Scheduling statistics for the whole sweep, including
-    /// [`SchedulerStats::steals`].
-    pub sched: SchedulerStats,
-}
-
-/// Maps a resubmitted global range back to the scenario that claimed
-/// it. Claimed ranges never span scenarios (each comes from one
-/// scenario's cursor), so the range's start pins it.
-fn scenario_of(scenarios: &[PlannedScenario], start: u64) -> usize {
-    scenarios
-        .iter()
-        .position(|sc| start >= sc.lo && start < sc.hi)
-        .expect("resubmitted range maps to a published scenario")
-}
-
-/// Body of one sweep worker: serve scenarios from the cross-scenario
-/// queue until it is sealed and drained, then check out. Returns the
-/// worker's lifetime group count, the number of cross-scenario steals
-/// it performed, and its sessions' merged work counters.
-fn sweep_worker_loop<'e>(ctx: &SweepCtx<'e>, shared: &SweepShared) -> (u64, u64, EngineCounters) {
-    // One kernel cache and one lazily-opened session per scenario, all
-    // private to this worker — no sync primitives touch them.
-    let mut kernels = KernelCache::new();
-    let mut sessions: Vec<Option<Box<dyn EngineSession + 'e>>> = Vec::new();
-    sessions.resize_with(ctx.scenarios.len(), || None);
-    let mut groups_done = 0u64;
-    let mut steals = 0u64;
-    let mut last_bucket = ctx.done.load(Ordering::Relaxed) / PROGRESS_STRIDE;
-    let mut guard = SupervisionGuard {
-        sync: &shared.sync,
-        armed: true,
-        seen_epoch: 0,
-        serving: false,
-        pending: Vec::new(),
-    };
-    loop {
-        let seen = guard.seen_epoch;
-        let poll = shared
-            .sync
-            .poll_until(Cv::Work, |core| match core.worker_poll(seen) {
-                WorkerPoll::Wait => None,
-                WorkerPoll::Shutdown => Some(None),
-                WorkerPoll::Job(spec, epoch) => Some(Some((spec, epoch))),
-            });
-        let Some((_job, epoch)) = poll else { break };
-        guard.seen_epoch = epoch;
-        guard.serving = true;
-        // Walk the scenario queue. `s` only moves forward once
-        // `sweep_poll` confirms the next scenario is published, so
-        // indexing the data-plane vectors by `s` is always in bounds.
-        let mut s: usize = 0;
-        loop {
-            let cursor = lock_sweep_data(shared)
-                .cursors
-                .get(s)
-                .cloned()
-                .expect("a published sweep scenario carries a cursor");
-            let sc = &ctx.scenarios[s];
-            let mut claimed_any = false;
-            if ctx.collect {
-                let mut local: Vec<(u64, Vec<GroupHistory>)> = Vec::new();
-                while let Some((start, end)) = claim_u64(&cursor) {
-                    claimed_any = true;
-                    guard.pending.push((start, end));
-                    let session = sessions[s].get_or_insert_with(|| {
-                        ctx.engine.session_tuned_cached(
-                            sc.cfg.as_ref(),
-                            ctx.bias,
-                            ctx.tuning,
-                            &mut kernels,
-                        )
-                    });
-                    let mut batch = Vec::with_capacity((end - start) as usize);
-                    for i in start..end {
-                        let mut rng = stream(sc.seed, i - sc.lo);
-                        batch.push(session.simulate_group(&mut rng).clone());
-                        groups_done += 1;
-                        note_progress(ctx.observer, ctx.done, ctx.target, &mut last_bucket);
-                    }
-                    local.push((start, batch));
-                }
-                if !local.is_empty() {
-                    lock_sweep_data(shared).collect_accs[s].append(&mut local);
-                }
-                guard.pending.clear();
-            } else {
-                let mut stats = StreamStats::new(sc.cfg.mission_hours);
-                let mut quarantined: Vec<(usize, QuarantinedGroup)> = Vec::new();
-                while let Some((start, end)) = claim_u64(&cursor) {
-                    claimed_any = true;
-                    guard.pending.push((start, end));
-                    for i in start..end {
-                        let mut rng = stream(sc.seed, i - sc.lo);
-                        let session = sessions[s].get_or_insert_with(|| {
-                            ctx.engine.session_tuned_cached(
-                                sc.cfg.as_ref(),
-                                ctx.bias,
-                                ctx.tuning,
-                                &mut kernels,
-                            )
-                        });
-                        // Unwind safety: as in `worker_loop`, `stats`
-                        // is only touched after `simulate_group`
-                        // returned. The session may be mid-update, so
-                        // it is dropped and reopened lazily.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            stats.push(session.simulate_group(&mut rng));
-                        }));
-                        if let Err(payload) = outcome {
-                            quarantined.push((
-                                s,
-                                QuarantinedGroup {
-                                    index: i - sc.lo,
-                                    message: panic_message(payload.as_ref()),
-                                },
-                            ));
-                            sessions[s] = None;
-                        }
-                        groups_done += 1;
-                        note_progress(ctx.observer, ctx.done, ctx.target, &mut last_bucket);
-                    }
-                }
-                if claimed_any {
-                    let mut data = lock_sweep_data(shared);
-                    data.stream_accs[s].merge(stats);
-                    data.quarantine.append(&mut quarantined);
-                }
-                guard.pending.clear();
-            }
-            // Claiming from any scenario after the first one this
-            // worker drained is a cross-scenario steal: without the
-            // fused queue the worker would have idled at the previous
-            // scenario's quiesce barrier instead.
-            if claimed_any && s > 0 {
-                steals += 1;
-            }
-            let served = s as u64;
-            let more = shared
-                .sync
-                .poll_until(Cv::Work, |core| match core.sweep_poll(served) {
-                    SweepPoll::Wait => None,
-                    SweepPoll::Next => Some(true),
-                    SweepPoll::Drained => Some(false),
-                });
-            if more {
-                s += 1;
-            } else {
-                break;
-            }
-        }
-        // The queue is sealed and drained; check out, redoing any
-        // ranges a dead worker left behind. Each redone range maps to
-        // exactly one scenario and replays its RNG streams, so the
-        // merge is bit-identical to the work the dead worker lost.
-        while let Some((start, end)) = attempt_check_out(&shared.sync, &mut guard) {
-            let s = scenario_of(ctx.scenarios, start);
-            let sc = &ctx.scenarios[s];
-            if ctx.collect {
-                let session = sessions[s].get_or_insert_with(|| {
-                    ctx.engine.session_tuned_cached(
-                        sc.cfg.as_ref(),
-                        ctx.bias,
-                        ctx.tuning,
-                        &mut kernels,
-                    )
-                });
-                let mut batch = Vec::with_capacity((end - start) as usize);
-                for i in start..end {
-                    let mut rng = stream(sc.seed, i - sc.lo);
-                    batch.push(session.simulate_group(&mut rng).clone());
-                    groups_done += 1;
-                    note_progress(ctx.observer, ctx.done, ctx.target, &mut last_bucket);
-                }
-                lock_sweep_data(shared).collect_accs[s].push((start, batch));
-                guard.pending.clear();
-            } else {
-                let mut stats = StreamStats::new(sc.cfg.mission_hours);
-                let mut quarantined: Vec<(usize, QuarantinedGroup)> = Vec::new();
-                for i in start..end {
-                    let mut rng = stream(sc.seed, i - sc.lo);
-                    let session = sessions[s].get_or_insert_with(|| {
-                        ctx.engine.session_tuned_cached(
-                            sc.cfg.as_ref(),
-                            ctx.bias,
-                            ctx.tuning,
-                            &mut kernels,
-                        )
-                    });
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        stats.push(session.simulate_group(&mut rng));
-                    }));
-                    if let Err(payload) = outcome {
-                        quarantined.push((
-                            s,
-                            QuarantinedGroup {
-                                index: i - sc.lo,
-                                message: panic_message(payload.as_ref()),
-                            },
-                        ));
-                        sessions[s] = None;
-                    }
-                    groups_done += 1;
-                    note_progress(ctx.observer, ctx.done, ctx.target, &mut last_bucket);
-                }
-                {
-                    let mut data = lock_sweep_data(shared);
-                    data.stream_accs[s].merge(stats);
-                    data.quarantine.append(&mut quarantined);
-                }
-                guard.pending.clear();
-            }
-        }
-    }
-    guard.armed = false;
-    let mut counters = EngineCounters::default();
-    for session in sessions.into_iter().flatten() {
-        counters.merge(session.counters());
-    }
-    (groups_done, steals, counters)
-}
-
-/// Runs a fused sweep: one pool for all scenarios, published into the
-/// cross-scenario queue as fast as the coordinator can install their
-/// cursors, with workers stealing across scenario boundaries instead of
-/// quiescing at them. The single quiesce point is the end of the whole
-/// sweep.
-///
-/// # Panics
-///
-/// Panics only when *every* worker died (total loss), exactly as
-/// [`run_with_pool`] does.
-pub(crate) fn run_sweep_pool(ctx: SweepCtx<'_>) -> SweepHarvest {
-    debug_assert!(ctx.threads > 1, "serial sweeps bypass the pool");
-    debug_assert!(
-        !ctx.scenarios.is_empty(),
-        "a sweep publishes at least one scenario"
-    );
-    let n = ctx.scenarios.len();
-    let shared = SweepShared {
-        sync: StdSync::new(ctx.threads),
-        data: Mutex::new(SweepData {
-            cursors: Vec::with_capacity(n),
-            stream_accs: Vec::with_capacity(n),
-            collect_accs: Vec::with_capacity(n),
-            quarantine: Vec::new(),
-        }),
-    };
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ctx.threads);
-        for _ in 0..ctx.threads {
-            let ctx = &ctx;
-            let shared = &shared;
-            handles.push(scope.spawn(move || sweep_worker_loop(ctx, shared)));
-        }
-        let (stream_accs, collect_parts, mut quarantine) = {
-            // Shut the workers down even when publishing or the
-            // quiesce wait unwinds, so the scope's joins cannot
-            // deadlock.
-            let _shutdown = ShutdownOnDrop(&shared.sync);
-            for (k, sc) in ctx.scenarios.iter().enumerate() {
-                debug_assert!(sc.lo < sc.hi, "scenarios cover at least one group");
-                let count = sc.hi - sc.lo;
-                let claim = effective_claim(ctx.claim_batch, count, ctx.threads as u64);
-                // Install the scenario's data plane before the guarded
-                // publish makes it claimable: the lock release below
-                // happens-before any worker's `sweep_poll` observes
-                // the scenario, so the cursor fetch cannot miss.
-                {
-                    let mut data = lock_sweep_data(&shared);
-                    data.cursors.push(Arc::new(BatchCursor::new(
-                        sc.lo as usize,
-                        sc.hi as usize,
-                        claim,
-                    )));
-                    if ctx.collect {
-                        data.collect_accs.push(Vec::new());
-                    } else {
-                        data.stream_accs
-                            .push(StreamStats::new(sc.cfg.mission_hours));
-                    }
-                }
-                let spec = JobSpec {
-                    lo: sc.lo,
-                    hi: sc.hi,
-                    claim,
-                    collect: ctx.collect,
-                };
-                let wake = shared.sync.guarded(|core| {
-                    if k == 0 {
-                        core.publish_sweep(spec)
-                    } else {
-                        // The fused sweep's defining transition:
-                        // appended while workers are active.
-                        core.extend_sweep(sc.hi)
-                    }
-                });
-                shared.sync.wake(wake);
-            }
-            let wake = shared.sync.guarded(PoolCore::seal_sweep);
-            shared.sync.wake(wake);
-            let outcome = shared
-                .sync
-                .poll_until(Cv::Quiesced, |core| match core.quiesce_poll() {
-                    QuiescePoll::Wait => None,
-                    other => Some(other),
-                });
-            shared.sync.guarded(PoolCore::retire);
-            if outcome == QuiescePoll::Panicked {
-                panic!("simulation worker panicked");
-            }
-            let mut data = lock_sweep_data(&shared);
-            data.cursors.clear();
-            (
-                std::mem::take(&mut data.stream_accs),
-                std::mem::take(&mut data.collect_accs),
-                std::mem::take(&mut data.quarantine),
-            )
-        };
-        let mut worker_groups = Vec::with_capacity(ctx.threads);
-        let mut counters = EngineCounters::default();
-        let mut workers_lost = 0u64;
-        let mut steals = 0u64;
-        for h in handles {
-            match h.join() {
-                Ok((groups, worker_steals, c)) => {
-                    worker_groups.push(groups);
-                    steals += worker_steals;
-                    counters.merge(c);
-                }
-                Err(_) => {
-                    worker_groups.push(0);
-                    workers_lost += 1;
-                }
-            }
-        }
-        // Deterministic order for observers (integer keys — see the
-        // comparator notes in `stream_batch`/`collect_batch`).
-        #[allow(clippy::unnecessary_sort_by)]
-        quarantine.sort_unstable_by(|a, b| (a.0, a.1.index).cmp(&(b.0, b.1.index)));
-        let collect_accs = collect_parts
-            .into_iter()
-            .map(|mut parts| {
-                #[allow(clippy::unnecessary_sort_by)]
-                parts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                let mut histories = Vec::new();
-                for (_, mut batch) in parts {
-                    histories.append(&mut batch);
-                }
-                histories
-            })
-            .collect();
-        SweepHarvest {
-            stream_accs,
-            collect_accs,
-            quarantine,
-            sched: SchedulerStats {
-                worker_groups,
-                thread_spawns: ctx.threads as u64,
-                workers_lost,
-                steals,
-                counters,
-            },
-        }
     })
 }

@@ -27,14 +27,16 @@
 //! * the stored path tags each claimed batch with its start index and
 //!   reassembles the histories in group-index order before returning.
 //!
-//! # Worker lifecycle
+//! # Execution
 //!
-//! Parallel runs use one persistent worker pool per run (see
-//! `crate::pool`): workers are spawned once, each opens one
-//! [`crate::engine::EngineSession`] — reusable scratch plus sampling
-//! kernels lowered once from the configuration — and driver batches
-//! are dispatched to the pool as epochs. Serial runs (`threads == 1`)
-//! use one session on the calling thread and spawn nothing.
+//! Every entry point — single runs and fused sweeps alike — runs on one
+//! executor (see `crate::pool`): each driver batch is one *epoch* of
+//! segments over the group-index space, drained by *lanes*. A lane owns
+//! the reusable [`crate::engine::EngineSession`]s (scratch plus
+//! sampling kernels lowered once per configuration) and the one group
+//! loop. Serial runs (`threads == 1`) are one lane on the calling
+//! thread and spawn nothing; parallel runs spawn one persistent worker
+//! pool per run, one lane per worker, and dispatch every batch to it.
 //!
 //! Checkpoint compatibility is preserved because claiming happens
 //! *within* a driver batch: `run_batch(lo, hi)` returns only once every
@@ -47,14 +49,12 @@
 
 use crate::checkpoint::{config_fingerprint, CheckpointError, DriverState, SimCheckpoint};
 use crate::config::RaidGroupConfig;
-use crate::engine::{BiasPolicy, DesEngine, Engine, EngineCounters, EngineSession, SessionTuning};
+use crate::engine::{BiasPolicy, DesEngine, Engine, EngineCounters, SessionTuning};
 use crate::events::{CheckpointDegraded, DdfKind, GroupHistory, QuarantinedGroup};
-use crate::pool::{self, PlannedScenario, PoolCtx, SweepCtx, SweepHarvest};
+use crate::pool::{self, BatchRunner, ExecCtx, Harvest, PlannedScenario, Segment};
 use crate::stats::{SchedulerStats, StreamStats};
 use crate::store::{RetryBackoff, SnapshotStore};
 use crate::sweep::{validate_scenarios, SweepCache, SweepReport, SweepScenario};
-use raidsim_dists::rng::stream;
-use raidsim_dists::KernelCache;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -240,11 +240,11 @@ pub(crate) struct BatchCursor {
 }
 
 impl BatchCursor {
-    pub(crate) fn new(lo: usize, hi: usize, claim: u64) -> Self {
+    pub(crate) fn new(lo: u64, hi: u64, claim: u64) -> Self {
         debug_assert!(claim > 0, "claim batch must be positive");
         Self {
-            next: AtomicU64::new(lo as u64),
-            hi: hi as u64,
+            next: AtomicU64::new(lo),
+            hi,
             claim,
         }
     }
@@ -254,128 +254,17 @@ impl BatchCursor {
     ///
     /// `Relaxed` suffices: the cursor carries no data — a group's
     /// history is a pure function of `(seed, index)`, and per-worker
-    /// results only meet at the scope's join barrier, which is already
+    /// results only meet at the epoch's quiesce point, which is already
     /// a synchronization point. Workers stop at the first `None`, so
     /// the cursor overshoots `hi` by at most `claim × workers`: far
     /// from `u64::MAX` for any reachable input.
-    pub(crate) fn claim(&self) -> Option<std::ops::Range<usize>> {
+    pub(crate) fn claim(&self) -> Option<std::ops::Range<u64>> {
         let start = self.next.fetch_add(self.claim, Ordering::Relaxed);
         // The range arithmetic is shared with the model checker
         // (`sync_model::claim_range`), which proves every index in
         // `[lo, hi)` is handed out exactly once across all claims.
         let (lo, end) = crate::sync_model::claim_range(start, self.hi, self.claim)?;
-        Some(lo as usize..end as usize)
-    }
-}
-
-/// A source of simulated batches for the drivers: either the serial
-/// in-thread runner or the persistent worker pool. Each call covers the
-/// half-open range `[lo, hi)` exactly once; calls must not overlap.
-pub(crate) trait BatchRunner {
-    /// Streams `[lo, hi)` into a fresh [`StreamStats`] aggregate.
-    fn stream_batch(&mut self, lo: usize, hi: usize) -> StreamStats;
-
-    /// Simulates `[lo, hi)` and returns the histories in group-index
-    /// order.
-    fn collect_batch(&mut self, lo: usize, hi: usize) -> Vec<GroupHistory>;
-
-    /// Takes the groups quarantined (per-group panic caught, group
-    /// skipped) since the last drain, in the order they were caught.
-    /// Streaming batches quarantine; collected batches propagate the
-    /// panic instead, because a hole in a returned history vector
-    /// cannot be represented. Default: nothing quarantines.
-    fn drain_quarantine(&mut self) -> Vec<QuarantinedGroup> {
-        Vec::new()
-    }
-}
-
-/// Renders a caught panic payload for a [`QuarantinedGroup`] record.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic>".to_string()
-    }
-}
-
-/// `threads == 1` runner: one engine session on the calling thread,
-/// persistent for the whole run, zero spawned threads.
-struct SerialRunner<'a> {
-    session: Box<dyn EngineSession + 'a>,
-    /// Engine, config, and bias are kept so a quarantined panic can
-    /// discard the (possibly wedged) session and open a fresh one.
-    engine: &'a dyn Engine,
-    cfg: &'a RaidGroupConfig,
-    bias: BiasPolicy,
-    tuning: SessionTuning,
-    mission_hours: f64,
-    seed: u64,
-    observer: &'a dyn StreamObserver,
-    done: &'a AtomicU64,
-    target: u64,
-    last_bucket: u64,
-    groups_done: u64,
-    quarantine: Vec<QuarantinedGroup>,
-}
-
-impl SerialRunner<'_> {
-    /// Same per-worker stride accounting as the pool workers (see the
-    /// module-level progress notes).
-    fn note_group(&mut self) {
-        self.groups_done += 1;
-        let completed = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        let bucket = completed / PROGRESS_STRIDE;
-        if bucket > self.last_bucket {
-            self.last_bucket = bucket;
-            self.observer.on_progress(Progress {
-                groups_done: completed,
-                groups_target: self.target,
-            });
-        }
-    }
-}
-
-impl BatchRunner for SerialRunner<'_> {
-    fn stream_batch(&mut self, lo: usize, hi: usize) -> StreamStats {
-        let mut stats = StreamStats::new(self.mission_hours);
-        for i in lo..hi {
-            let mut rng = stream(self.seed, i as u64);
-            // One group's panic must not abort a fleet-scale run: catch
-            // it, quarantine the index, and continue with a fresh
-            // session (the old one may hold torn scratch state). The
-            // accumulator is untouched on the panic path — `push` runs
-            // only after the group completed.
-            let session = &mut self.session;
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                stats.push(session.simulate_group(&mut rng));
-            }));
-            if let Err(payload) = outcome {
-                self.quarantine.push(QuarantinedGroup {
-                    index: i as u64,
-                    message: panic_message(payload.as_ref()),
-                });
-                self.session = self.engine.session_tuned(self.cfg, self.bias, self.tuning);
-                continue;
-            }
-            self.note_group();
-        }
-        stats
-    }
-
-    fn collect_batch(&mut self, lo: usize, hi: usize) -> Vec<GroupHistory> {
-        let mut histories = Vec::with_capacity(hi - lo);
-        for i in lo..hi {
-            let mut rng = stream(self.seed, i as u64);
-            histories.push(self.session.simulate_group(&mut rng).clone());
-            self.note_group();
-        }
-        histories
-    }
-
-    fn drain_quarantine(&mut self) -> Vec<QuarantinedGroup> {
-        std::mem::take(&mut self.quarantine)
+        Some(lo..end)
     }
 }
 
@@ -480,8 +369,9 @@ impl Simulator {
         self.bias
     }
 
-    /// Replaces the session tuning. Every tuning is bit-identical to
-    /// every other, so the tuning never enters the run fingerprint.
+    /// Replaces the session tuning every entry point opens its sessions
+    /// with. Every tuning is bit-identical to every other, so the
+    /// tuning never enters the run fingerprint.
     pub fn with_tuning(mut self, tuning: SessionTuning) -> Self {
         self.tuning = tuning;
         self
@@ -510,17 +400,7 @@ impl Simulator {
     /// Group `i` uses RNG stream `i` of `seed`, so the result is a
     /// deterministic function of `(config, groups, seed)`.
     pub fn run(&self, groups: usize, seed: u64) -> SimulationResult {
-        let mut session = self.engine.session(&self.cfg, self.bias);
-        let histories = (0..groups)
-            .map(|i| {
-                let mut rng = stream(seed, i as u64);
-                session.simulate_group(&mut rng).clone()
-            })
-            .collect();
-        SimulationResult {
-            histories,
-            mission_hours: self.cfg.mission_hours,
-        }
+        self.run_range(0, groups, seed, 1)
     }
 
     /// Simulates `groups` independent RAID groups across `threads`
@@ -586,9 +466,10 @@ impl Simulator {
         observer: &dyn StreamObserver,
     ) -> (StreamStats, SchedulerStats) {
         let done = AtomicU64::new(0);
-        let (stats, sched) = self.with_runner(seed, threads, observer, &done, groups as u64, |r| {
-            r.stream_batch(0, groups)
-        });
+        let ((stats, _quarantine), sched) =
+            self.with_runner(seed, threads, observer, &done, groups as u64, |r| {
+                r.stream_batch(0, groups as u64)
+            });
         observer.on_progress(Progress {
             groups_done: groups as u64,
             groups_target: groups as u64,
@@ -596,23 +477,24 @@ impl Simulator {
         (stats, sched)
     }
 
-    /// Runs `body` against this run's [`BatchRunner`] — a persistent
-    /// serial session when `threads == 1`, the worker pool otherwise —
-    /// and reports the run's scheduler statistics.
+    /// Runs `body` against this run's executor — one lane on the
+    /// calling thread when `threads == 1`, the worker pool otherwise —
+    /// and reports the run's scheduler statistics. Every batch is a
+    /// one-segment epoch whose group `i` draws stream `i` of `seed`.
     ///
     /// Every public entry point funnels through here, so a run spawns
     /// its workers exactly once no matter how many driver batches it
-    /// dispatches. Statistics are bit-identical across runner choices:
+    /// dispatches. Statistics are bit-identical across thread counts:
     /// per-group RNG streams are a pure function of `(seed, index)`,
     /// stream partials are exact-integer state, and collected batches
     /// are reassembled in group-index order.
     ///
-    /// Progress: each worker (and the serial runner) keeps its own
-    /// last-reported stride bucket (`completed / PROGRESS_STRIDE`) and
-    /// reports whenever the global counter has crossed into a new
-    /// bucket since it last reported — per-worker monotone by
-    /// construction. Terminal sub-stride remainders are covered by the
-    /// guaranteed final callback every driver issues.
+    /// Progress: each lane keeps its own last-reported stride bucket
+    /// (`completed / PROGRESS_STRIDE`) and reports whenever the global
+    /// counter has crossed into a new bucket since it last reported —
+    /// per-lane monotone by construction. Terminal sub-stride
+    /// remainders are covered by the guaranteed final callback every
+    /// driver issues.
     fn with_runner<R>(
         &self,
         seed: u64,
@@ -622,52 +504,24 @@ impl Simulator {
         target: u64,
         body: impl FnOnce(&mut dyn BatchRunner) -> R,
     ) -> (R, SchedulerStats) {
-        assert!(threads > 0, "need at least one thread");
-        if threads == 1 {
-            let mut runner = SerialRunner {
-                session: self.engine.session_tuned(&self.cfg, self.bias, self.tuning),
+        let scenarios = [PlannedScenario {
+            cfg: &self.cfg,
+            seed,
+        }];
+        pool::execute(
+            ExecCtx {
                 engine: self.engine.as_ref(),
-                cfg: &self.cfg,
+                scenarios: &scenarios,
                 bias: self.bias,
                 tuning: self.tuning,
-                mission_hours: self.cfg.mission_hours,
-                seed,
+                threads,
+                claim_batch: self.claim_batch,
                 observer,
                 done,
                 target,
-                // Stride accounting starts at the current global bucket
-                // so a resumed run does not re-report strides the
-                // checkpointed prefix already covered.
-                last_bucket: done.load(Ordering::Relaxed) / PROGRESS_STRIDE,
-                groups_done: 0,
-                quarantine: Vec::new(),
-            };
-            let result = body(&mut runner);
-            let sched = SchedulerStats {
-                worker_groups: vec![runner.groups_done],
-                thread_spawns: 0,
-                workers_lost: 0,
-                steals: 0,
-                counters: runner.session.counters(),
-            };
-            (result, sched)
-        } else {
-            pool::run_with_pool(
-                PoolCtx {
-                    engine: self.engine.as_ref(),
-                    cfg: &self.cfg,
-                    bias: self.bias,
-                    tuning: self.tuning,
-                    seed,
-                    threads,
-                    claim_batch: self.claim_batch,
-                    observer,
-                    done,
-                    target,
-                },
-                body,
-            )
-        }
+            },
+            body,
+        )
     }
 }
 
@@ -807,7 +661,7 @@ impl Simulator {
                         // stream i. The histories are kept for the caller;
                         // statistics come from the O(batch) accumulator,
                         // never from a rescan of `result.histories`.
-                        let histories = runner.collect_batch(lo, hi);
+                        let histories = runner.collect_batch(lo as u64, hi as u64);
                         let mut batch_stats = StreamStats::new(sim.cfg.mission_hours);
                         for h in &histories {
                             batch_stats.push(h);
@@ -891,10 +745,7 @@ impl Simulator {
                     &mut None,
                     &mut None,
                     0,
-                    |_sim, lo, hi| {
-                        let batch = runner.stream_batch(lo, hi);
-                        (batch, runner.drain_quarantine())
-                    },
+                    |_sim, lo, hi| runner.stream_batch(lo as u64, hi as u64),
                 )
             },
         );
@@ -976,10 +827,7 @@ impl Simulator {
                     &mut plan,
                     &mut plan_failure,
                     fingerprint,
-                    |_sim, lo, hi| {
-                        let batch = runner.stream_batch(lo, hi);
-                        (batch, runner.drain_quarantine())
-                    },
+                    |_sim, lo, hi| runner.stream_batch(lo as u64, hi as u64),
                 )
             });
         // A required checkpoint that could not be written aborts the
@@ -1021,9 +869,7 @@ impl Simulator {
         let span = hi - lo;
         let done = AtomicU64::new(0);
         let (out, _sched) = self.with_runner(seed, threads, observer, &done, span, |runner| {
-            let stats = runner.stream_batch(lo as usize, hi as usize);
-            let quarantine = runner.drain_quarantine();
-            (stats, quarantine)
+            runner.stream_batch(lo, hi)
         });
         observer.on_progress(Progress {
             groups_done: span,
@@ -1243,7 +1089,7 @@ impl Simulator {
         let done = AtomicU64::new(0);
         let count = (hi - lo) as u64;
         let (histories, _sched) = self.with_runner(seed, threads, &(), &done, count, |r| {
-            r.collect_batch(lo, hi)
+            r.collect_batch(lo as u64, hi as u64)
         });
         SimulationResult {
             histories,
@@ -1312,20 +1158,19 @@ pub fn sweep_with_engine(
         .run_collect(groups, threads)
 }
 
-/// A fused multi-scenario sweep: one persistent worker pool serves
-/// *every* scenario through a cross-scenario work queue, instead of
-/// spawning and quiescing a pool per scenario.
+/// A fused multi-scenario sweep: every scenario runs as one segment of
+/// a single epoch on one executor, instead of one run (and one pool
+/// spawn, drain and quiesce) per scenario.
 ///
 /// The old per-scenario loop paid two costs at every scenario boundary:
 /// a full pool spawn/join cycle, and end-of-scenario starvation — once
 /// a scenario's tail holds fewer unclaimed batches than there are
 /// workers, the surplus workers idle at the quiesce barrier while the
-/// tail drains. The fused plan removes both: the coordinator publishes
-/// scenario `k + 1` into the queue while workers are still draining
-/// scenario `k`, so a worker that exhausts one scenario *steals* into
-/// the next immediately ([`SchedulerStats::steals`] counts these). The
-/// protocol extension is model-checked exhaustively in
-/// [`crate::sync_model`].
+/// tail drains. The fused plan removes both: the coordinator installs
+/// every planned scenario's segment before publishing one epoch over
+/// their concatenated index space, so a worker that exhausts one
+/// scenario claims straight into the next ([`SchedulerStats::steals`]
+/// counts these) and the sweep quiesces once, at its end.
 ///
 /// Fusing is invisible in the statistics: each scenario keeps its own
 /// seeded RNG streams, its own lowered sampling kernels, and its own
@@ -1333,7 +1178,7 @@ pub fn sweep_with_engine(
 /// aggregates are **bit-identical** to running the scenarios one at a
 /// time — sequentially or at any thread count (property-tested in
 /// `tests/sweep_fused.rs`). What fusing does share is lowering work:
-/// each worker lowers every distinct distribution tree once per sweep
+/// each lane lowers every distinct distribution tree once per sweep
 /// (via [`raidsim_dists::KernelCache`]), not once per scenario.
 ///
 /// Repeated scenarios are deduplicated through a
@@ -1370,7 +1215,6 @@ pub struct FusedSweep {
     engine: Arc<dyn Engine>,
     claim_batch: u64,
     bias: BiasPolicy,
-    tuning: SessionTuning,
 }
 
 impl FusedSweep {
@@ -1388,7 +1232,6 @@ impl FusedSweep {
             engine: Arc::new(DesEngine::new()),
             claim_batch: DEFAULT_CLAIM_BATCH,
             bias: BiasPolicy::None,
-            tuning: SessionTuning::default(),
         }
     }
 
@@ -1421,12 +1264,6 @@ impl FusedSweep {
         self
     }
 
-    /// Replaces the session tuning, as [`Simulator::with_tuning`].
-    pub fn with_tuning(mut self, tuning: SessionTuning) -> Self {
-        self.tuning = tuning;
-        self
-    }
-
     /// The scenarios of this sweep, in input order.
     pub fn scenarios(&self) -> &[SweepScenario] {
         &self.scenarios
@@ -1442,6 +1279,44 @@ impl FusedSweep {
 
     fn fingerprint_of(&self, cfg: &RaidGroupConfig) -> u64 {
         config_fingerprint(cfg, self.engine.name(), self.bias)
+    }
+
+    /// Runs `planned` as one epoch: scenario `k` is the segment
+    /// `[k·groups, (k+1)·groups)` of the global index space, drawing
+    /// streams `0..groups` of its own seed.
+    fn run_fused(
+        &self,
+        planned: &[PlannedScenario<'_>],
+        groups: u64,
+        threads: usize,
+        collect: bool,
+    ) -> (Harvest, SchedulerStats) {
+        let segments: Vec<Segment> = (0..planned.len())
+            .map(|k| {
+                let lo = k as u64 * groups;
+                Segment {
+                    scenario: k,
+                    lo,
+                    hi: lo + groups,
+                    stream_lo: 0,
+                }
+            })
+            .collect();
+        let done = AtomicU64::new(0);
+        pool::execute(
+            ExecCtx {
+                engine: self.engine.as_ref(),
+                scenarios: planned,
+                bias: self.bias,
+                tuning: SessionTuning::default(),
+                threads,
+                claim_batch: self.claim_batch,
+                observer: &(),
+                done: &done,
+                target: planned.len() as u64 * groups,
+            },
+            |runner| runner.run_epoch(&segments, collect),
+        )
     }
 
     /// Runs the sweep in streaming mode with a throwaway in-memory
@@ -1460,13 +1335,12 @@ impl FusedSweep {
     /// [`SweepCache`]: scenarios whose `(fingerprint, groups, seed)`
     /// identity hits the cache replay their stored aggregate
     /// byte-for-byte instead of simulating; the rest are fused into one
-    /// pool run and inserted afterwards (unless quarantined — a partial
+    /// epoch and inserted afterwards (unless quarantined — a partial
     /// aggregate is never cached).
     ///
     /// Per-scenario aggregates are bit-identical to a sequential
     /// [`Simulator::run_streaming`] per scenario, whatever mixture of
-    /// cache hits, serial fallback (`threads == 1`), and fused pool
-    /// execution produced them.
+    /// cache hits and thread counts produced them.
     ///
     /// # Panics
     ///
@@ -1517,7 +1391,7 @@ impl FusedSweep {
         // planned sibling's result.
         let mut results: Vec<Option<StreamStats>> = Vec::with_capacity(n);
         results.resize_with(n, || None);
-        let mut planned: Vec<PlannedScenario> = Vec::new();
+        let mut planned: Vec<PlannedScenario<'_>> = Vec::new();
         // Input index that owns each planned scenario.
         let mut planned_input: Vec<usize> = Vec::new();
         let mut owner_of: BTreeMap<(u64, u64), usize> = BTreeMap::new();
@@ -1531,46 +1405,18 @@ impl FusedSweep {
                 deferred.push((i, p));
                 continue;
             }
-            let lo = planned.len() as u64 * groups as u64;
             owner_of.insert((keys[i], sc.seed), planned.len());
             planned_input.push(i);
             planned.push(PlannedScenario {
-                cfg: Arc::new(sc.cfg.clone()),
+                cfg: &sc.cfg,
                 seed: sc.seed,
-                lo,
-                hi: lo + groups as u64,
             });
         }
         let simulated = planned.len() as u64;
-        let mut harvest = if planned.is_empty() {
-            SweepHarvest {
-                stream_accs: Vec::new(),
-                collect_accs: Vec::new(),
-                quarantine: Vec::new(),
-                sched: empty_sched(),
-            }
-        } else if threads == 1 {
-            run_sweep_serial(
-                self.engine.as_ref(),
-                &planned,
-                self.bias,
-                self.tuning,
-                false,
-            )
+        let (harvest, sched) = if planned.is_empty() {
+            (Harvest::default(), empty_sched())
         } else {
-            let done = AtomicU64::new(0);
-            pool::run_sweep_pool(SweepCtx {
-                engine: self.engine.as_ref(),
-                scenarios: &planned,
-                bias: self.bias,
-                tuning: self.tuning,
-                threads,
-                claim_batch: self.claim_batch,
-                collect: false,
-                observer: &(),
-                done: &done,
-                target: simulated * groups as u64,
-            })
+            self.run_fused(&planned, groups as u64, threads, false)
         };
         // A quarantined scenario's aggregate excludes groups its
         // watermark counts — refuse to cache it, exactly as the
@@ -1579,10 +1425,7 @@ impl FusedSweep {
         for (p, _) in &harvest.quarantine {
             tainted[*p] = true;
         }
-        for (p, stats) in std::mem::take(&mut harvest.stream_accs)
-            .into_iter()
-            .enumerate()
-        {
+        for (p, stats) in harvest.stats.into_iter().enumerate() {
             let i = planned_input[p];
             if !tainted[p] {
                 cache.insert(keys[i], groups as u64, self.scenarios[i].seed, &stats);
@@ -1628,9 +1471,9 @@ impl FusedSweep {
             cache_hits: cache.hits() - hits_before,
             store_hits: cache.store_hits() - store_hits_before,
             simulated,
-            steals: harvest.sched.steals,
+            steals: sched.steals,
             quarantined,
-            sched: harvest.sched,
+            sched,
         }
     }
 
@@ -1648,134 +1491,36 @@ impl FusedSweep {
     /// panics (collect mode has no quarantine).
     pub fn run_collect(&self, groups: usize, threads: usize) -> Vec<(String, SimulationResult)> {
         assert!(threads > 0, "need at least one thread");
-        if self.scenarios.is_empty() || groups == 0 {
-            return self
-                .scenarios
-                .iter()
-                .map(|sc| {
-                    (
-                        sc.label.clone(),
-                        SimulationResult {
-                            histories: Vec::new(),
-                            mission_hours: sc.cfg.mission_hours,
-                        },
-                    )
-                })
-                .collect();
-        }
-        let planned: Vec<PlannedScenario> = self
+        let planned: Vec<PlannedScenario<'_>> = self
             .scenarios
             .iter()
-            .enumerate()
-            .map(|(k, sc)| {
-                let lo = k as u64 * groups as u64;
-                PlannedScenario {
-                    cfg: Arc::new(sc.cfg.clone()),
-                    seed: sc.seed,
-                    lo,
-                    hi: lo + groups as u64,
-                }
+            .map(|sc| PlannedScenario {
+                cfg: &sc.cfg,
+                seed: sc.seed,
             })
             .collect();
-        let harvest = if threads == 1 {
-            run_sweep_serial(self.engine.as_ref(), &planned, self.bias, self.tuning, true)
+        let mut histories = if planned.is_empty() || groups == 0 {
+            Vec::new()
         } else {
-            let done = AtomicU64::new(0);
-            pool::run_sweep_pool(SweepCtx {
-                engine: self.engine.as_ref(),
-                scenarios: &planned,
-                bias: self.bias,
-                tuning: self.tuning,
-                threads,
-                claim_batch: self.claim_batch,
-                collect: true,
-                observer: &(),
-                done: &done,
-                target: planned.len() as u64 * groups as u64,
-            })
-        };
+            self.run_fused(&planned, groups as u64, threads, true)
+                .0
+                .histories
+        }
+        .into_iter();
+        // The epoch's histories come back in global index order, which
+        // is scenario order with `groups` histories each.
         self.scenarios
             .iter()
-            .zip(harvest.collect_accs)
-            .map(|(sc, histories)| {
+            .map(|sc| {
                 (
                     sc.label.clone(),
                     SimulationResult {
-                        histories,
+                        histories: histories.by_ref().take(groups).collect(),
                         mission_hours: sc.cfg.mission_hours,
                     },
                 )
             })
             .collect()
-    }
-}
-
-/// Serial (`threads == 1`) fused sweep: the calling thread serves the
-/// scenario queue in order, sharing one [`KernelCache`] across
-/// scenarios exactly like a pool worker does. Spawns nothing and uses
-/// no sync; stream-mode quarantine semantics match the pool's.
-fn run_sweep_serial(
-    engine: &dyn Engine,
-    scenarios: &[PlannedScenario],
-    bias: BiasPolicy,
-    tuning: SessionTuning,
-    collect: bool,
-) -> SweepHarvest {
-    let mut kernels = KernelCache::new();
-    let mut stream_accs = Vec::new();
-    let mut collect_accs = Vec::new();
-    let mut quarantine = Vec::new();
-    let mut counters = EngineCounters::default();
-    let mut groups_done = 0u64;
-    for (s, sc) in scenarios.iter().enumerate() {
-        let count = sc.hi - sc.lo;
-        let mut session = engine.session_tuned_cached(sc.cfg.as_ref(), bias, tuning, &mut kernels);
-        if collect {
-            let mut histories = Vec::with_capacity(count as usize);
-            for i in 0..count {
-                let mut rng = stream(sc.seed, i);
-                histories.push(session.simulate_group(&mut rng).clone());
-                groups_done += 1;
-            }
-            collect_accs.push(histories);
-        } else {
-            let mut stats = StreamStats::new(sc.cfg.mission_hours);
-            for i in 0..count {
-                let mut rng = stream(sc.seed, i);
-                // Unwind safety: as in the pool workers — `stats` is
-                // only touched after `simulate_group` returned; the
-                // possibly-wedged session is discarded and reopened.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    stats.push(session.simulate_group(&mut rng));
-                }));
-                if let Err(payload) = outcome {
-                    quarantine.push((
-                        s,
-                        QuarantinedGroup {
-                            index: i,
-                            message: panic_message(payload.as_ref()),
-                        },
-                    ));
-                    session =
-                        engine.session_tuned_cached(sc.cfg.as_ref(), bias, tuning, &mut kernels);
-                }
-                groups_done += 1;
-            }
-            stream_accs.push(stats);
-        }
-        counters.merge(session.counters());
-    }
-    SweepHarvest {
-        stream_accs,
-        collect_accs,
-        quarantine,
-        sched: SchedulerStats {
-            worker_groups: vec![groups_done],
-            thread_spawns: 0,
-            workers_lost: 0,
-            steals: 0,
-            counters,
-        },
     }
 }
 
@@ -2422,6 +2167,87 @@ mod tests {
             .run_parallel(50, 21, 2);
         assert_eq!(results_tl[0].1, direct_tl);
         assert_ne!(results_tl[0].1, results_des[0].1);
+    }
+
+    /// Records the tuning of every session it opens, then delegates to
+    /// the discrete-event engine.
+    #[derive(Debug, Default)]
+    struct TuningRecorder {
+        inner: DesEngine,
+        seen: std::sync::Mutex<Vec<SessionTuning>>,
+    }
+
+    impl Engine for TuningRecorder {
+        fn simulate_group(
+            &self,
+            cfg: &RaidGroupConfig,
+            rng: &mut raidsim_dists::rng::SimRng,
+        ) -> GroupHistory {
+            self.inner.simulate_group(cfg, rng)
+        }
+
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn session<'a>(
+            &'a self,
+            cfg: &'a RaidGroupConfig,
+            bias: BiasPolicy,
+        ) -> Box<dyn crate::engine::EngineSession + 'a> {
+            self.session_tuned(cfg, bias, SessionTuning::default())
+        }
+
+        fn session_tuned<'a>(
+            &'a self,
+            cfg: &'a RaidGroupConfig,
+            bias: BiasPolicy,
+            tuning: SessionTuning,
+        ) -> Box<dyn crate::engine::EngineSession + 'a> {
+            self.seen.lock().unwrap().push(tuning);
+            self.inner.session_tuned(cfg, bias, tuning)
+        }
+
+        fn session_tuned_cached<'a>(
+            &'a self,
+            cfg: &'a RaidGroupConfig,
+            bias: BiasPolicy,
+            tuning: SessionTuning,
+            kernels: &mut raidsim_dists::KernelCache,
+        ) -> Box<dyn crate::engine::EngineSession + 'a> {
+            self.seen.lock().unwrap().push(tuning);
+            self.inner.session_tuned_cached(cfg, bias, tuning, kernels)
+        }
+    }
+
+    #[test]
+    fn every_entry_point_opens_sessions_with_the_configured_tuning() {
+        let direct = SessionTuning { block_draws: false };
+        let engine = Arc::new(TuningRecorder::default());
+        let sim = Simulator::new(base())
+            .with_engine(engine.clone())
+            .with_tuning(direct);
+        let reference = Simulator::new(base()).run(40, 5);
+        assert_eq!(sim.run(40, 5), reference);
+        assert_eq!(sim.run_parallel(40, 5, 2), reference);
+        let streamed = StreamStats::from_result(&reference);
+        for threads in [1, 3] {
+            assert_eq!(sim.run_streaming(40, 5, threads), streamed);
+        }
+        let seen = std::mem::take(&mut *engine.seen.lock().unwrap());
+        assert!(seen.len() >= 4, "{seen:?}");
+        assert!(seen.iter().all(|&t| t == direct), "{seen:?}");
+        // A fused sweep has no tuning knob: its sessions open with the
+        // default.
+        let sweep = FusedSweep::new(vec![SweepScenario::new("base", base(), 5)])
+            .with_engine(engine.clone());
+        assert_eq!(sweep.run_streaming(40, 2).results[0].1, streamed);
+        let seen = engine.seen.lock().unwrap();
+        assert!(!seen.is_empty());
+        assert!(
+            seen.iter().all(|&t| t == SessionTuning::default()),
+            "{seen:?}"
+        );
     }
 
     #[test]

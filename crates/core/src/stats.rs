@@ -221,9 +221,9 @@ pub struct SchedulerStats {
     /// a lost worker's `worker_groups` entry is `0`.
     pub workers_lost: u64,
     /// Fused-sweep runs only: cross-scenario steals — the number of
-    /// (worker, scenario) pairs where a worker that had already drained
-    /// an earlier scenario claimed work from a later one instead of
-    /// idling at a quiesce barrier. `0` for single-scenario runs. Like
+    /// (worker, scenario) pairs where a pool worker claimed work from a
+    /// scenario after the first, instead of idling at a per-scenario
+    /// quiesce barrier. `0` for single-scenario and serial runs. Like
     /// `worker_groups`, timing-dependent: a diagnostic, never part of
     /// the deterministic aggregates.
     pub steals: u64,

@@ -623,3 +623,32 @@ fn fused_sweep_refuses_to_cache_a_quarantined_scenario() {
         }
     }
 }
+
+/// A quarantined group's session is retired, not forgotten: its engine
+/// counters are folded into the run's before the session is reopened,
+/// so the counters still see every simulated group exactly once.
+#[test]
+fn quarantine_keeps_the_counters_of_retired_sessions() {
+    let (groups, seed, target) = (48, 67, 31);
+    let sim = Simulator::new(base()).with_engine(Arc::new(PanicOnMarker::new(seed, target)));
+    for threads in [1usize, 4] {
+        let (stats, sched) = sim.run_streaming_instrumented(groups, seed, threads, &());
+        assert_eq!(stats.groups(), groups as u64 - 1);
+        assert_eq!(
+            sched.counters.groups,
+            stats.groups(),
+            "run_streaming_instrumented at {threads} thread(s)"
+        );
+    }
+    let sweep = FusedSweep::new(scrub_ladder([seed, seed, 70]))
+        .with_engine(Arc::new(PanicOnMarker::new(seed, target)));
+    for threads in [1usize, 2] {
+        let report = sweep.run_streaming(groups, threads);
+        assert_eq!(report.quarantined.len(), 2);
+        let simulated: u64 = report.results.iter().map(|(_, s)| s.groups()).sum();
+        assert_eq!(
+            report.sched.counters.groups, simulated,
+            "FusedSweep::run_streaming at {threads} thread(s)"
+        );
+    }
+}
